@@ -12,10 +12,10 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import corpus, evaluate, factorize, serialize, textcnn
+from . import corpus, evaluate, factorize, linalg, serialize, textcnn
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,17 +57,15 @@ class RunConfig:
     outer_iters: int = 30
     early_stop_rel_tol: float = 1e-4
     early_stop_patience: int = 3
-    lambdas: dict = field(default_factory=dict)  # model kind -> (lambda_user, lambda_item)
+    lambdas: dict = field(default_factory=dict)  # model kind -> {LAMBDA_KEYS entry: value}
     weight_decay: float = 1e-4
     out_dir: Path = Path("runs")
-    clip: bool = False
 
     def hyper_for(self, model_kind: str, seed: int | None = None) -> factorize.Hyperparams:
         kind = factorize.canonical_model_kind(model_kind)
-        lu, lv = self.lambdas.get(kind, factorize.DEFAULT_LAMBDAS[kind])
+        lambdas = {**dict(zip(LAMBDA_KEYS, factorize.DEFAULT_LAMBDAS[kind])), **self.lambdas.get(kind, {})}
         return factorize.Hyperparams(
-            model_kind=kind, n_factors=self.n_factors,
-            lambda_user=lu, lambda_item=lv,
+            model_kind=kind, n_factors=self.n_factors, **lambdas,
             weight_decay_user=self.weight_decay, weight_decay_item=self.weight_decay,
             outer_iters=self.outer_iters,
             early_stop_rel_tol=self.early_stop_rel_tol,
@@ -89,71 +87,80 @@ class RunConfig:
         )
 
 
+def _as_list(raw: str) -> list[str]:
+    return [x.strip() for x in raw.split(",") if x.strip()]
+
+
+# (section, key) -> (RunConfig field, parser)
+CONFIG_KEYS = {
+    ("data", "path"): ("data_path", Path),
+    ("data", "first_n"): ("first_n", int),
+    ("experiment", "base_seed"): ("base_seed", int),
+    ("experiment", "test_fraction"): ("test_fraction", float),
+    ("experiment", "n_runs"): ("n_runs", int),
+    ("experiment", "models"): ("models", lambda raw: [factorize.canonical_model_kind(m) for m in _as_list(raw)]),
+    ("corpus", "max_vocab"): ("max_vocab", int),
+    ("corpus", "min_doc_freq"): ("min_doc_freq", int),
+    ("corpus", "max_len"): ("max_len", int),
+    ("cnn", "embedding_dim"): ("embedding_dim", int),
+    ("cnn", "window_sizes"): ("window_sizes", lambda raw: tuple(int(x) for x in _as_list(raw))),
+    ("cnn", "n_filters"): ("n_filters", int),
+    ("cnn", "dropout_rate"): ("dropout_rate", float),
+    ("cnn", "learning_rate"): ("learning_rate", float),
+    ("cnn", "epochs_per_outer"): ("epochs_per_outer", int),
+    ("cnn", "batch_size"): ("batch_size", int),
+    ("cnn", "pretrained_path"): ("pretrained_path", Path),
+    ("cnn", "pretrained_trainable"): ("pretrained_trainable", lambda raw: raw.lower() in ("1", "true", "yes", "on")),
+    ("factorization", "n_factors"): ("n_factors", int),
+    ("factorization", "outer_iters"): ("outer_iters", int),
+    ("factorization", "early_stop_rel_tol"): ("early_stop_rel_tol", float),
+    ("factorization", "early_stop_patience"): ("early_stop_patience", int),
+    ("factorization", "weight_decay"): ("weight_decay", float),
+    ("output", "dir"): ("out_dir", Path),
+}
+LAMBDA_KEYS = ("lambda_user", "lambda_item")   # the keys of a [model.<kind>] section
+
+
 def load_config(path) -> RunConfig:
+    """Read an INI config; an unknown section or key is a ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
         parser.read(path)
+        sections = [(s, parser.items(s)) for s in parser.sections()]
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
 
     cfg = RunConfig()
-
-    def get(section, key, cast, current):
-        if not parser.has_option(section, key):
-            return current
-        raw = parser.get(section, key).strip()
-        if raw == "":
-            return current
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from None
-
-    as_bool = lambda s: s.lower() in ("1", "true", "yes", "on")
-    as_list = lambda s: [x.strip() for x in s.split(",") if x.strip()]
-    as_ints = lambda s: tuple(int(x) for x in as_list(s))
-
-    cfg.data_path = Path(get("data", "path", str, str(cfg.data_path)))
-    cfg.first_n = get("data", "first_n", int, cfg.first_n)
-    cfg.base_seed = get("experiment", "base_seed", int, cfg.base_seed)
-    cfg.test_fraction = get("experiment", "test_fraction", float, cfg.test_fraction)
-    cfg.n_runs = get("experiment", "n_runs", int, cfg.n_runs)
-    cfg.models = get("experiment", "models", as_list, cfg.models)
-    cfg.max_vocab = get("corpus", "max_vocab", int, cfg.max_vocab)
-    cfg.min_doc_freq = get("corpus", "min_doc_freq", int, cfg.min_doc_freq)
-    cfg.max_len = get("corpus", "max_len", int, cfg.max_len)
-    cfg.embedding_dim = get("cnn", "embedding_dim", int, cfg.embedding_dim)
-    cfg.window_sizes = get("cnn", "window_sizes", as_ints, cfg.window_sizes)
-    cfg.n_filters = get("cnn", "n_filters", int, cfg.n_filters)
-    cfg.dropout_rate = get("cnn", "dropout_rate", float, cfg.dropout_rate)
-    cfg.learning_rate = get("cnn", "learning_rate", float, cfg.learning_rate)
-    cfg.epochs_per_outer = get("cnn", "epochs_per_outer", int, cfg.epochs_per_outer)
-    cfg.batch_size = get("cnn", "batch_size", int, cfg.batch_size)
-    pretrained = get("cnn", "pretrained_path", str, "")
-    cfg.pretrained_path = Path(pretrained) if pretrained else None
-    cfg.pretrained_trainable = get("cnn", "pretrained_trainable", as_bool, cfg.pretrained_trainable)
-    cfg.n_factors = get("factorization", "n_factors", int, cfg.n_factors)
-    cfg.outer_iters = get("factorization", "outer_iters", int, cfg.outer_iters)
-    cfg.early_stop_rel_tol = get("factorization", "early_stop_rel_tol", float, cfg.early_stop_rel_tol)
-    cfg.early_stop_patience = get("factorization", "early_stop_patience", int, cfg.early_stop_patience)
-    cfg.weight_decay = get("factorization", "weight_decay", float, cfg.weight_decay)
-    cfg.out_dir = Path(get("output", "dir", str, str(cfg.out_dir)))
-
-    try:
-        cfg.models = [factorize.canonical_model_kind(m) for m in cfg.models]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    for kind in factorize.MODEL_KINDS:
-        section = f"model.{kind}"
-        if parser.has_section(section):
-            lu = get(section, "lambda_user", float, factorize.DEFAULT_LAMBDAS[kind][0])
-            lv = get(section, "lambda_item", float, factorize.DEFAULT_LAMBDAS[kind][1])
-            if lu <= 0 or lv <= 0:
+    for section, items in sections:
+        kind = section.removeprefix("model.")
+        is_model = kind != section and kind in factorize.MODEL_KINDS
+        if not is_model and section not in {s for s, _ in CONFIG_KEYS}:
+            raise ConfigError(f"unknown section [{section}] in {path}")
+        for key, raw in items:
+            if is_model and key in LAMBDA_KEYS:
+                target, parse = None, float
+            elif (section, key) in CONFIG_KEYS:
+                target, parse = CONFIG_KEYS[section, key]
+            else:
+                raise ConfigError(f"unknown key '{key}' in [{section}] of {path}")
+            if raw == "":   # configparser strips values; empty keeps the default
+                continue
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from None
+            if not is_model:
+                setattr(cfg, target, value)
+            elif value <= 0:
                 raise ConfigError(f"[{section}] lambdas must be > 0")
-            cfg.lambdas[kind] = (lu, lv)
+            else:
+                cfg.lambdas.setdefault(kind, {})[key] = value
+
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {cfg.test_fraction}")
     if cfg.first_n < 0:
@@ -209,9 +216,7 @@ def cmd_ingest(cfg: RunConfig, force: bool) -> int:
     paths["corpus"].mkdir(parents=True, exist_ok=True)
     corpus.save_bundle(bundle, paths["bundle"])
     stats_obj = {
-        "n_users": stats.n_users, "n_items": stats.n_items,
-        "n_ratings": stats.n_ratings, "density": stats.density,
-        "n_train": len(train_idx), "n_test": len(test_idx),
+        **asdict(stats), "n_train": len(train_idx), "n_test": len(test_idx),
         "vocab_size": bundle.vocab.size, "base_seed": cfg.base_seed,
     }
     with open(paths["corpus"] / "stats.json", "w", encoding="utf-8") as fh:
@@ -361,7 +366,7 @@ def main(argv=None) -> int:
     except (DataError, corpus.ReviewParseError, serialize.ContainerError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except textcnn.TrainingDivergedError as exc:
+    except (textcnn.TrainingDivergedError, linalg.SolveError) as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return EXIT_TRAIN
     except ValueError as exc:

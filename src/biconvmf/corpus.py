@@ -159,14 +159,12 @@ def build_review_sets(records) -> tuple[dict[str, str], dict[str, str]]:
     return user_sets, item_sets
 
 
-@dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """Token -> index map; index 0 is reserved for padding and OOV."""
+    """Token -> index map; index 0 is reserved for padding and OOV.  Iterates over the tokens."""
 
-    tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {t: i + 1 for i, t in enumerate(self.tokens)})
+    def __init__(self, tokens):
+        self.tokens = tuple(tokens)
+        self._index = {t: i + 1 for i, t in enumerate(self.tokens)}
 
     @property
     def size(self) -> int:
@@ -181,6 +179,9 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def __iter__(self):
+        return iter(self.tokens)
 
 
 def build_vocabulary(docs, max_vocab: int = DEFAULT_MAX_VOCAB,
@@ -287,6 +288,10 @@ def _is_int(s: str) -> bool:
         return False
 
 
+@serialize.container(BUNDLE_MAGIC, BUNDLE_VERSION,
+                     "vocab", "user_ids", "item_ids", "user_docs", "user_doc_lens",
+                     "item_docs", "item_doc_lens", "train_user_idx", "train_item_idx",
+                     "train_ratings", "test_user_idx", "test_item_idx", "test_ratings")
 @dataclass
 class CorpusBundle:
     """Everything training needs, so it never re-tokenizes.
@@ -392,54 +397,8 @@ def build_bundle(records: list[ReviewRecord], train_idx, test_idx,
 
 
 def save_bundle(bundle: CorpusBundle, path) -> None:
-    meta = {
-        "max_len": bundle.max_len,
-        "test_fraction": bundle.test_fraction,
-        "split_seed": bundle.split_seed,
-        "stats": {
-            "n_users": bundle.stats.n_users,
-            "n_items": bundle.stats.n_items,
-            "n_ratings": bundle.stats.n_ratings,
-            "density": bundle.stats.density,
-        },
-    }
-    sections = {
-        "meta": serialize.json_to_bytes(meta),
-        "vocab": serialize.json_to_bytes(list(bundle.vocab.tokens)),
-        "user_ids": serialize.json_to_bytes(bundle.user_ids),
-        "item_ids": serialize.json_to_bytes(bundle.item_ids),
-        "user_docs": serialize.array_to_bytes(bundle.user_docs),
-        "user_doc_lens": serialize.array_to_bytes(bundle.user_doc_lens),
-        "item_docs": serialize.array_to_bytes(bundle.item_docs),
-        "item_doc_lens": serialize.array_to_bytes(bundle.item_doc_lens),
-        "train_user_idx": serialize.array_to_bytes(bundle.train_user_idx),
-        "train_item_idx": serialize.array_to_bytes(bundle.train_item_idx),
-        "train_ratings": serialize.array_to_bytes(bundle.train_ratings),
-        "test_user_idx": serialize.array_to_bytes(bundle.test_user_idx),
-        "test_item_idx": serialize.array_to_bytes(bundle.test_item_idx),
-        "test_ratings": serialize.array_to_bytes(bundle.test_ratings),
-    }
-    serialize.write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, sections)
+    serialize.save(bundle, path)
 
 
 def load_bundle(path) -> CorpusBundle:
-    _, sections = serialize.read_container(path, BUNDLE_MAGIC, (BUNDLE_VERSION,))
-    meta = serialize.json_from_bytes(serialize.require_section(sections, "meta"), "meta")
-    arr = lambda name: serialize.array_from_bytes(serialize.require_section(sections, name), name)
-    vocab = Vocabulary(tuple(serialize.json_from_bytes(serialize.require_section(sections, "vocab"), "vocab")))
-    stats = DatasetStats(**meta["stats"])
-    return CorpusBundle(
-        vocab=vocab,
-        max_len=int(meta["max_len"]),
-        user_ids=list(serialize.json_from_bytes(serialize.require_section(sections, "user_ids"), "user_ids")),
-        item_ids=list(serialize.json_from_bytes(serialize.require_section(sections, "item_ids"), "item_ids")),
-        user_docs=arr("user_docs"), user_doc_lens=arr("user_doc_lens"),
-        item_docs=arr("item_docs"), item_doc_lens=arr("item_doc_lens"),
-        train_user_idx=arr("train_user_idx"), train_item_idx=arr("train_item_idx"),
-        train_ratings=arr("train_ratings"),
-        test_user_idx=arr("test_user_idx"), test_item_idx=arr("test_item_idx"),
-        test_ratings=arr("test_ratings"),
-        stats=stats,
-        test_fraction=float(meta["test_fraction"]),
-        split_seed=int(meta["split_seed"]),
-    )
+    return serialize.load(CorpusBundle, path)

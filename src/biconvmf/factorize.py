@@ -231,12 +231,16 @@ class TrainLog:
     fit_losses_user: list = field(default_factory=list)
     fit_losses_item: list = field(default_factory=list)
     stopped_early: bool = False
-    seconds: float = 0.0
+    # not stored: checkpoints must be byte-identical across reruns of one config and seed
+    seconds: float = field(default=0.0, metadata=serialize.SKIP)
 
     def n_iterations(self) -> int:
         return len(self.losses)
 
 
+@serialize.container(MODEL_MAGIC, MODEL_VERSION,
+                     "user_ids", "item_ids", "user_factors", "item_factors", "item_means",
+                     "user_train_counts", "item_train_counts", "cnn_user", "cnn_item")
 @dataclass
 class TrainedModel:
     model_kind: str
@@ -260,15 +264,16 @@ class TrainedModel:
     def predict_indexed(self, user_idx, item_idx, clip: bool = False) -> np.ndarray:
         """Vectorized predictions for index arrays, with cold-start fallbacks.
 
-        A user or item is cold when it has no training ratings: a cold item
-        falls back to the global training mean, a cold user (on a warm item)
-        to that item's training mean; otherwise the factor dot product.
+        A user or item is cold when it has no training ratings or a negative
+        index (an id unknown to training): a cold item falls back to the global
+        training mean, a cold user (on a warm item) to that item's training
+        mean; otherwise the factor dot product.
         """
         user_idx = np.asarray(user_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
         dots = np.einsum("ki,ki->i", self.user_factors[:, user_idx], self.item_factors[:, item_idx])
-        warm_u = self.user_train_counts[user_idx] > 0
-        warm_i = self.item_train_counts[item_idx] > 0
+        warm_u = (user_idx >= 0) & (self.user_train_counts[user_idx] > 0)
+        warm_i = (item_idx >= 0) & (self.item_train_counts[item_idx] > 0)
         preds = np.where(~warm_i, self.global_mean,
                          np.where(~warm_u, self.item_means[item_idx], dots))
         if clip:
@@ -276,19 +281,10 @@ class TrainedModel:
         return preds
 
     def predict(self, user_key: str, item_key: str, clip: bool = False) -> float:
-        """Single prediction by id, falling back for ids absent from training."""
-        j = self._item_pos.get(item_key)
-        if j is None or self.item_train_counts[j] == 0:
-            pred = self.global_mean
-        else:
-            i = self._user_pos.get(user_key)
-            if i is None or self.user_train_counts[i] == 0:
-                pred = float(self.item_means[j])
-            else:
-                pred = float(self.user_factors[:, i] @ self.item_factors[:, j])
-        if clip:
-            pred = min(max(pred, 1.0), 5.0)
-        return float(pred)
+        """Single prediction by id; an id absent from training counts as cold."""
+        i = self._user_pos.get(user_key, -1)
+        j = self._item_pos.get(item_key, -1)
+        return float(self.predict_indexed([i], [j], clip=clip)[0])
 
 
 def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
@@ -407,7 +403,7 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
         if prev_loss is not None:
             rel = abs(prev_loss - loss) / max(abs(prev_loss), 1e-300)
             streak = streak + 1 if rel < hyper.early_stop_rel_tol else 0
-            if streak >= hyper.early_stop_patience:
+            if streak >= hyper.early_stop_patience and it < hyper.outer_iters:
                 log.stopped_early = True
                 break
         prev_loss = loss
@@ -432,67 +428,8 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
 
 
 def save_model(model: TrainedModel, path) -> None:
-    hyper = model.hyper
-    meta = {
-        "model_kind": model.model_kind,
-        "hyper": {
-            "model_kind": hyper.model_kind,
-            "n_factors": hyper.n_factors,
-            "lambda_user": hyper.lambda_user,
-            "lambda_item": hyper.lambda_item,
-            "weight_decay_user": hyper.weight_decay_user,
-            "weight_decay_item": hyper.weight_decay_item,
-            "outer_iters": hyper.outer_iters,
-            "early_stop_rel_tol": hyper.early_stop_rel_tol,
-            "early_stop_patience": hyper.early_stop_patience,
-            "seed": hyper.seed,
-        },
-        "global_mean": model.global_mean,
-        # wall clock is deliberately left out: checkpoints must be
-        # byte-identical across reruns with the same config and seed
-        "log": {
-            "loss_initial": model.log.loss_initial,
-            "losses_after_user": model.log.losses_after_user,
-            "losses_after_item": model.log.losses_after_item,
-            "losses": model.log.losses,
-            "fit_losses_user": model.log.fit_losses_user,
-            "fit_losses_item": model.log.fit_losses_item,
-            "stopped_early": model.log.stopped_early,
-        },
-    }
-    sections = {
-        "meta": serialize.json_to_bytes(meta),
-        "user_ids": serialize.json_to_bytes(model.user_ids),
-        "item_ids": serialize.json_to_bytes(model.item_ids),
-        "user_factors": serialize.array_to_bytes(model.user_factors),
-        "item_factors": serialize.array_to_bytes(model.item_factors),
-        "item_means": serialize.array_to_bytes(model.item_means),
-        "user_train_counts": serialize.array_to_bytes(model.user_train_counts),
-        "item_train_counts": serialize.array_to_bytes(model.item_train_counts),
-    }
-    if model.cnn_user is not None:
-        sections["cnn_user"] = textcnn.params_to_bytes(model.cnn_user)
-    if model.cnn_item is not None:
-        sections["cnn_item"] = textcnn.params_to_bytes(model.cnn_item)
-    serialize.write_container(path, MODEL_MAGIC, MODEL_VERSION, sections)
+    serialize.save(model, path)
 
 
 def load_model(path) -> TrainedModel:
-    _, sections = serialize.read_container(path, MODEL_MAGIC, (MODEL_VERSION,))
-    meta = serialize.json_from_bytes(serialize.require_section(sections, "meta"), "meta")
-    arr = lambda name: serialize.array_from_bytes(serialize.require_section(sections, name), name)
-    log = TrainLog(**meta["log"])
-    hyper = Hyperparams(**meta["hyper"])
-    return TrainedModel(
-        model_kind=meta["model_kind"], hyper=hyper,
-        user_factors=arr("user_factors"), item_factors=arr("item_factors"),
-        user_ids=list(serialize.json_from_bytes(serialize.require_section(sections, "user_ids"), "user_ids")),
-        item_ids=list(serialize.json_from_bytes(serialize.require_section(sections, "item_ids"), "item_ids")),
-        cnn_user=textcnn.params_from_bytes(sections["cnn_user"]) if "cnn_user" in sections else None,
-        cnn_item=textcnn.params_from_bytes(sections["cnn_item"]) if "cnn_item" in sections else None,
-        global_mean=float(meta["global_mean"]),
-        item_means=arr("item_means"),
-        user_train_counts=arr("user_train_counts"),
-        item_train_counts=arr("item_train_counts"),
-        log=log,
-    )
+    return serialize.load(TrainedModel, path)

@@ -11,7 +11,11 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 
-class SingularMatrixError(ValueError):
+class SolveError(ValueError):
+    """The system cannot be solved: it has non-finite entries or is not positive definite."""
+
+
+class SingularMatrixError(SolveError):
     """A supposedly SPD matrix produced a non-positive Cholesky pivot."""
 
     def __init__(self, pivot: int):
@@ -49,7 +53,7 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape != (a.shape[0],):
         raise ValueError(f"right-hand side shape {b.shape} does not match matrix of size {a.shape[0]}")
     if not np.isfinite(a).all() or not np.isfinite(b).all():
-        raise ValueError("non-finite entries in linear system")
+        raise SolveError("non-finite entries in linear system")
     skew = np.abs(a - a.T).max() if a.size else 0.0
     if skew > 1e-10 * (1.0 + np.abs(a).max()):
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {skew:g}")

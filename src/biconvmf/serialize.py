@@ -10,14 +10,19 @@ Layout (all integers little-endian):
 Readers receive the raw payload bytes per section.  Truncated or corrupt
 input raises ContainerError naming the section (or header field) that could
 not be read; an unknown version raises UnsupportedVersionError instead of
-guessing at the layout.
+guessing at the layout.  Dataclasses declare their formats with the
+``container`` decorator below.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import struct
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -77,9 +82,17 @@ def unpack_container(blob: bytes, magic: bytes, supported_versions: tuple[int, .
 
 
 def write_container(path, magic: bytes, version: int, sections: dict[str, bytes]) -> None:
+    """Write a temporary file beside path and rename it over path, so that a
+    failed write leaves the existing file untouched and no temporary file."""
     blob = pack_container(magic, version, sections)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path, magic: bytes, supported_versions: tuple[int, ...]) -> tuple[int, dict[str, bytes]]:
@@ -116,3 +129,138 @@ def require_section(sections: dict[str, bytes], name: str) -> bytes:
     if name not in sections:
         raise ContainerError(f"missing required section '{name}'")
     return sections[name]
+
+
+# Field metadata: SKIP keeps a field out of the file (it loads as its
+# default); INLINE stores a nested dataclass's keys in its owner's meta.
+SKIP = {"stored": "skip"}
+INLINE = {"stored": "inline"}
+
+
+def container(magic: bytes, version: int, *sections):
+    """Class decorator declaring the container format of a dataclass.
+
+    The named fields get sections, in this order, after a JSON 'meta' section
+    holding the other fields: an ndarray as .npy bytes, a declared dataclass as
+    its nested container, anything else as JSON.  A None field is left out and
+    loads as None if its annotation allows.  A tuple of names declares parallel
+    lists of arrays, stored per index as a_0, b_0, a_1, b_1, ...
+    """
+    def declare(cls):
+        cls.container_format = (magic, version, sections)
+        return cls
+    return declare
+
+
+def save(obj, path) -> None:
+    magic, version, _ = obj.container_format
+    write_container(path, magic, version, _to_sections(obj))
+
+
+def load(cls, path):
+    magic, version, _ = cls.container_format
+    return _from_sections(cls, read_container(path, magic, (version,))[1])
+
+
+def _to_sections(obj) -> dict[str, bytes]:
+    out, names = {}, []
+    for entry in obj.container_format[2]:
+        names.extend(entry if isinstance(entry, tuple) else [entry])
+        if isinstance(entry, tuple):
+            for i in range(len(getattr(obj, entry[0]))):
+                for name in entry:
+                    out[f"{name}_{i}"] = array_to_bytes(getattr(obj, name)[i])
+            continue
+        value = getattr(obj, entry)
+        if isinstance(value, np.ndarray):
+            out[entry] = array_to_bytes(value)
+        elif hasattr(value, "container_format"):
+            magic, version, _ = value.container_format
+            out[entry] = pack_container(magic, version, _to_sections(value))
+        elif value is not None:
+            out[entry] = json_to_bytes(_plain(value))
+    return {"meta": json_to_bytes(_plain(obj, names)), **out}
+
+
+def _plain(value, exclude=()):
+    """JSON form: sequences as lists, dataclasses as dicts of stored fields (not asdict: it copies arrays)."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if not is_dataclass(value):
+        return [_plain(v) for v in value]
+    out = {}
+    for f in fields(value):
+        stored = f.metadata.get("stored")
+        if f.name not in exclude and stored != "skip":
+            plain = _plain(getattr(value, f.name))
+            out.update(plain if stored == "inline" else {f.name: plain})
+    return out
+
+
+def _from_sections(cls, payloads: dict[str, bytes]):
+    hints = get_type_hints(cls)
+    given, expected = {}, {"meta"}
+    for entry in cls.container_format[2]:
+        if isinstance(entry, tuple):
+            n = 0
+            while any(f"{name}_{n}" in payloads for name in entry):
+                n += 1
+            for name in entry:
+                keys = [f"{name}_{i}" for i in range(n)]
+                expected.update(keys)
+                given[name] = [array_from_bytes(require_section(payloads, k), k) for k in keys]
+            continue
+        hint = hints[entry]
+        if type(None) in get_args(hint):    # T | None: the section may be left out
+            if entry not in payloads:
+                given[entry] = None
+                continue
+            hint = get_args(hint)[0]
+        expected.add(entry)
+        payload = require_section(payloads, entry)
+        if hint is np.ndarray:
+            given[entry] = array_from_bytes(payload, entry)
+        elif hasattr(hint, "container_format"):
+            magic, version, _ = hint.container_format
+            given[entry] = _from_sections(hint, unpack_container(payload, magic, (version,))[1])
+        else:
+            given[entry] = _rebuild(hint, json_from_bytes(payload, entry), entry)
+    unexpected = sorted(set(payloads) - expected)
+    if unexpected:
+        raise ContainerError(f"unexpected section '{unexpected[0]}'")
+    meta = json_from_bytes(require_section(payloads, "meta"), "meta")
+    return _rebuild(cls, meta, "", given)
+
+
+def _rebuild(hint, value, where: str, given=None):
+    """value as its annotated type; a dataclass from a dict of exactly its stored fields not given."""
+    if hint in (str, int, float, bool):
+        return value
+    if not is_dataclass(hint):
+        return _build(get_origin(hint) or hint, where, value)
+    if not isinstance(value, dict):
+        raise ContainerError(f"meta value '{where or 'meta'}' is not a JSON object")
+    prefix = where + "." if where else ""
+    hints, rest, kwargs = get_type_hints(hint), dict(value), dict(given or {})
+    for f in fields(hint):
+        stored = f.metadata.get("stored")
+        if f.name in kwargs or stored == "skip":
+            continue
+        if stored == "inline":
+            keys = [g.name for g in fields(hints[f.name]) if g.name in rest]
+            kwargs[f.name] = _rebuild(hints[f.name], {k: rest.pop(k) for k in keys}, where)
+        elif f.name not in rest:
+            raise ContainerError(f"missing meta key '{prefix}{f.name}'")
+        else:
+            kwargs[f.name] = _rebuild(hints[f.name], rest.pop(f.name), prefix + f.name)
+    if rest:
+        raise ContainerError(f"unexpected meta key '{prefix}{min(rest)}'")
+    return _build(hint, where or hint.__name__, **kwargs)
+
+
+def _build(make, where: str, *args, **kwargs):
+    """make(*args, **kwargs), reporting a value it rejects as a ContainerError."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ContainerError(f"invalid value for '{where}': {exc}") from exc

@@ -18,7 +18,7 @@ one window per width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,15 +77,21 @@ class OptimizerConfig:
     batch_size: int = 128
 
 
+@serialize.container(CNN_MAGIC, CNN_VERSION,
+                     "embedding", "proj", "proj_bias", ("filters", "filter_biases"))
 @dataclass
 class CnnParams:
-    config: CnnConfig
+    config: CnnConfig = field(metadata=serialize.INLINE)
     embedding: np.ndarray            # (vocab+1, embedding_dim); row 0 stays zero
     filters: list[np.ndarray]        # per window: (n_filters, w, embedding_dim)
     filter_biases: list[np.ndarray]  # per window: (n_filters,)
     proj: np.ndarray                 # (total_filters, output_dim)
     proj_bias: np.ndarray            # (output_dim,)
     embedding_trainable: bool = True
+
+    def __post_init__(self):
+        if not len(self.filters) == len(self.filter_biases) == len(self.config.window_sizes):
+            raise ValueError("need one filter bank and one bias vector per window size")
 
     def copy(self) -> "CnnParams":
         return CnnParams(
@@ -321,26 +327,10 @@ def gradient(params: CnnParams, doc: TokenDocument, target: np.ndarray,
     return loss, grads
 
 
-def _param_slots(params: CnnParams) -> list[np.ndarray]:
-    slots: list[np.ndarray] = []
-    if params.embedding_trainable:
-        slots.append(params.embedding)
-    slots.extend(params.filters)
-    slots.extend(params.filter_biases)
-    slots.append(params.proj)
-    slots.append(params.proj_bias)
-    return slots
-
-
-def _grad_slots(params: CnnParams, grads: CnnGrads) -> list[np.ndarray]:
-    slots: list[np.ndarray] = []
-    if params.embedding_trainable:
-        slots.append(grads.embedding)
-    slots.extend(grads.filters)
-    slots.extend(grads.filter_biases)
-    slots.append(grads.proj)
-    slots.append(grads.proj_bias)
-    return slots
+def _slots(arrays: CnnParams | CnnGrads, embedding_trainable: bool) -> list[np.ndarray]:
+    """The trainable arrays of params, or their gradients, in update order."""
+    head = [arrays.embedding] if embedding_trainable else []
+    return head + [*arrays.filters, *arrays.filter_biases, arrays.proj, arrays.proj_bias]
 
 
 def mean_loss(params: CnnParams, docs, lens, targets, target_weight,
@@ -381,7 +371,7 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
     current = params.copy()
     rng = np.random.default_rng(seed)
     rate = params.config.dropout_rate
-    slots = _param_slots(current)
+    slots = _slots(current, current.embedding_trainable)
     caches = [np.zeros_like(s) for s in slots]
 
     if start_outputs is not None:
@@ -407,7 +397,7 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
                     f"non-finite batch loss (epoch {epoch + 1}, batch {bi}, "
                     f"learning_rate {cfg.learning_rate})"
                 )
-            for slot, cache, g in zip(slots, caches, _grad_slots(current, grads)):
+            for slot, cache, g in zip(slots, caches, _slots(grads, current.embedding_trainable)):
                 cache *= cfg.decay
                 cache += (1.0 - cfg.decay) * g * g
                 slot -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.epsilon)
@@ -416,47 +406,3 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
             best_loss = cur
             best = current.copy()
     return best, best_loss
-
-
-def params_to_bytes(params: CnnParams) -> bytes:
-    cfg = params.config
-    meta = {
-        "max_len": cfg.max_len,
-        "embedding_dim": cfg.embedding_dim,
-        "output_dim": cfg.output_dim,
-        "window_sizes": list(cfg.window_sizes),
-        "n_filters": cfg.n_filters,
-        "dropout_rate": cfg.dropout_rate,
-        "embedding_trainable": params.embedding_trainable,
-    }
-    sections = {"meta": serialize.json_to_bytes(meta),
-                "embedding": serialize.array_to_bytes(params.embedding),
-                "proj": serialize.array_to_bytes(params.proj),
-                "proj_bias": serialize.array_to_bytes(params.proj_bias)}
-    for wi in range(len(cfg.window_sizes)):
-        sections[f"filters_{wi}"] = serialize.array_to_bytes(params.filters[wi])
-        sections[f"filter_biases_{wi}"] = serialize.array_to_bytes(params.filter_biases[wi])
-    return serialize.pack_container(CNN_MAGIC, CNN_VERSION, sections)
-
-
-def params_from_bytes(blob: bytes) -> CnnParams:
-    _, sections = serialize.unpack_container(blob, CNN_MAGIC, (CNN_VERSION,))
-    meta = serialize.json_from_bytes(serialize.require_section(sections, "meta"), "meta")
-    cfg = CnnConfig(
-        max_len=int(meta["max_len"]),
-        embedding_dim=int(meta["embedding_dim"]),
-        output_dim=int(meta["output_dim"]),
-        window_sizes=tuple(meta["window_sizes"]),
-        n_filters=int(meta["n_filters"]),
-        dropout_rate=float(meta["dropout_rate"]),
-    )
-    arr = lambda name: serialize.array_from_bytes(serialize.require_section(sections, name), name)
-    return CnnParams(
-        config=cfg,
-        embedding=arr("embedding"),
-        filters=[arr(f"filters_{wi}") for wi in range(len(cfg.window_sizes))],
-        filter_biases=[arr(f"filter_biases_{wi}") for wi in range(len(cfg.window_sizes))],
-        proj=arr("proj"),
-        proj_bias=arr("proj_bias"),
-        embedding_trainable=bool(meta["embedding_trainable"]),
-    )

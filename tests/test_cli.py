@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biconvmf import synthetic
-from biconvmf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from biconvmf import linalg, synthetic
+from biconvmf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TRAIN, load_config, main
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +223,58 @@ def test_model_lambda_overrides_apply(tmp_path, review_file):
     model = factorize.load_model(out / "models/PMF.ckpt")
     assert model.hyper.lambda_user == 7.5
     assert model.hyper.lambda_item == 9.5
+
+
+@pytest.mark.parametrize("error", [linalg.SingularMatrixError(3),
+                                   linalg.SolveError("non-finite entries in linear system")])
+def test_solver_failure_is_training_failure(tmp_path, review_file, monkeypatch, capsys, error):
+    from biconvmf import cli
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+
+    def explode(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.factorize, "train", explode)
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_TRAIN
+    assert "training failed" in capsys.readouterr().err
+    assert main(["compare", "--config", str(cfg)]) == EXIT_TRAIN
+
+
+@pytest.mark.parametrize("extra, name", [
+    ({"factorization": {"n_factor": 40}}, "n_factor"),
+    ({"model.PMF": {"lambda_usr": 2}}, "lambda_usr"),
+    ({"model.SVD": {"lambda_user": 2}}, "model.SVD"),
+    ({"trainer": {"epochs": 2}}, "trainer"),
+])
+def test_unknown_config_entry_is_config_error(tmp_path, review_file, capsys, extra, name):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out", **extra)
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert name in err and "unknown" in err
+
+
+def test_shipped_configs_load():
+    root = Path(__file__).resolve().parents[1] / "configs"
+    desk = load_config(root / "synthetic.ini")
+    assert desk.window_sizes == (2, 3) and desk.n_factors == 12 and desk.n_runs == 3
+    movies = load_config(root / "movies_tv.ini")
+    assert movies.pretrained_path is None and movies.max_len == 128
+    assert movies.models == ["PMF", "ConvMF", "BiConvMF"]
+
+
+def test_evaluate_refuses_checkpoint_missing_meta_key(tmp_path, review_file, capsys):
+    from biconvmf import factorize, serialize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    ckpt = tmp_path / "out/models/PMF.ckpt"
+    _, sections = serialize.read_container(ckpt, factorize.MODEL_MAGIC, (1,))
+    meta = json.loads(sections["meta"])
+    del meta["log"]
+    sections["meta"] = serialize.json_to_bytes(meta)
+    serialize.write_container(ckpt, factorize.MODEL_MAGIC, 1, sections)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "missing meta key 'log'" in err and "Traceback" not in err

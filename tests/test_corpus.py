@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biconvmf import corpus
+from biconvmf import corpus, serialize
 from biconvmf.corpus import (
     MalformedRecordWarning,
     ReviewParseError,
@@ -299,6 +299,24 @@ def test_bundle_roundtrip_bitwise(tmp_path, tiny_bundle):
                  "test_user_idx", "test_item_idx", "test_ratings"):
         np.testing.assert_array_equal(getattr(back, name), getattr(tiny_bundle, name))
     assert back.stats == tiny_bundle.stats
+    corpus.save_bundle(back, tmp_path / "again.bcmf")
+    assert (tmp_path / "again.bcmf").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta.pop("split_seed"), "missing meta key 'split_seed'"),
+    (lambda meta: meta.update(shuffled=True), "unexpected meta key 'shuffled'"),
+])
+def test_bundle_meta_mismatch_refused(tmp_path, tiny_bundle, edit, message):
+    path = tmp_path / "bundle.bcmf"
+    corpus.save_bundle(tiny_bundle, path)
+    _, sections = serialize.read_container(path, corpus.BUNDLE_MAGIC, (1,))
+    meta = json.loads(sections["meta"])
+    edit(meta)
+    sections["meta"] = serialize.json_to_bytes(meta)
+    serialize.write_container(path, corpus.BUNDLE_MAGIC, 1, sections)
+    with pytest.raises(serialize.ContainerError, match=message):
+        corpus.load_bundle(path)
 
 
 def test_bundle_build_is_deterministic():

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -285,6 +288,18 @@ def test_early_stop_triggers(tiny_bundle):
     assert model.log.n_iterations() < 60
 
 
+def test_stopped_early_only_when_iterations_are_skipped(tiny_bundle):
+    # any loss change is below the tolerance, so the streak completes at iteration 2
+    hyper = Hyperparams.for_model("PMF", n_factors=4, outer_iters=2, seed=2,
+                                  early_stop_rel_tol=1e9, early_stop_patience=1)
+    last = factorize.train(tiny_bundle, hyper)
+    assert last.log.n_iterations() == 2
+    assert not last.log.stopped_early
+    skipped = factorize.train(tiny_bundle, replace(hyper, outer_iters=3))
+    assert skipped.log.n_iterations() == 2
+    assert skipped.log.stopped_early
+
+
 # ---------------------------------------------------------------- predict
 
 def make_predictable_model():
@@ -361,6 +376,30 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path, tiny_bundle):
     items = rng.choice(model.item_ids, 100)
     for u, i in zip(users, items):
         assert back.predict(u, i) == model.predict(u, i)
+    factorize.save_model(back, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def edit_checkpoint(path, edit):
+    _, sections = serialize.read_container(path, factorize.MODEL_MAGIC, (1,))
+    meta = json.loads(sections["meta"])
+    edit(meta, sections)
+    sections["meta"] = serialize.json_to_bytes(meta)
+    serialize.write_container(path, factorize.MODEL_MAGIC, 1, sections)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta, sections: meta.pop("log"), "missing meta key 'log'"),
+    (lambda meta, sections: meta["hyper"].update(clip=True), "unexpected meta key 'hyper.clip'"),
+    (lambda meta, sections: sections.pop("item_means"), "missing required section 'item_means'"),
+    (lambda meta, sections: sections.update(notes=b"{}"), "unexpected section 'notes'"),
+])
+def test_checkpoint_layout_mismatch_refused(tmp_path, tiny_bundle, edit, message):
+    path = tmp_path / "model.ckpt"
+    factorize.save_model(trained_tiny_model(tiny_bundle), path)
+    edit_checkpoint(path, edit)
+    with pytest.raises(serialize.ContainerError, match=message):
+        factorize.load_model(path)
 
 
 def test_checkpoint_truncated_file_errors(tmp_path, tiny_bundle):

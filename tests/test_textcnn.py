@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biconvmf import textcnn
+from biconvmf import serialize, textcnn
 from biconvmf.corpus import TokenDocument
 from biconvmf.textcnn import CnnConfig, OptimizerConfig, TrainingDivergedError
 
@@ -268,12 +268,25 @@ def test_frozen_embedding_does_not_move():
 
 # ---------------------------------------------------------------- serialization
 
-def test_params_bytes_roundtrip():
+def test_params_bytes_roundtrip(tmp_path):
     cfg = tiny_config(dropout_rate=0.2)
     params = textcnn.init_cnn_params(cfg, 9, seed=91)
-    back = textcnn.params_from_bytes(textcnn.params_to_bytes(params))
+    serialize.save(params, tmp_path / "cnn.bin")
+    back = serialize.load(textcnn.CnnParams, tmp_path / "cnn.bin")
+    serialize.save(back, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "cnn.bin").read_bytes()
     assert back.config == cfg
     assert back.embedding_trainable == params.embedding_trainable
     assert np.array_equal(back.embedding, params.embedding)
     assert np.array_equal(back.proj, params.proj)
     assert all(np.array_equal(x, y) for x, y in zip(back.filters, params.filters))
+
+
+def test_params_bytes_missing_window_refused(tmp_path):
+    path = tmp_path / "cnn.bin"
+    serialize.save(textcnn.init_cnn_params(tiny_config(), 9, seed=92), path)
+    _, sections = serialize.read_container(path, textcnn.CNN_MAGIC, (1,))
+    del sections["filters_1"], sections["filter_biases_1"]
+    serialize.write_container(path, textcnn.CNN_MAGIC, 1, sections)
+    with pytest.raises(serialize.ContainerError, match="filter bank"):
+        serialize.load(textcnn.CnnParams, path)
