@@ -91,6 +91,14 @@ def _as_list(raw: str) -> list[str]:
     return [x.strip() for x in raw.split(",") if x.strip()]
 
 
+def _as_bool(raw: str) -> bool:
+    """configparser's boolean words, in any case; anything else is an error."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("expected one of 1/yes/true/on or 0/no/false/off") from None
+
+
 # (section, key) -> (RunConfig field, parser)
 CONFIG_KEYS = {
     ("data", "path"): ("data_path", Path),
@@ -110,7 +118,7 @@ CONFIG_KEYS = {
     ("cnn", "epochs_per_outer"): ("epochs_per_outer", int),
     ("cnn", "batch_size"): ("batch_size", int),
     ("cnn", "pretrained_path"): ("pretrained_path", Path),
-    ("cnn", "pretrained_trainable"): ("pretrained_trainable", lambda raw: raw.lower() in ("1", "true", "yes", "on")),
+    ("cnn", "pretrained_trainable"): ("pretrained_trainable", _as_bool),
     ("factorization", "n_factors"): ("n_factors", int),
     ("factorization", "outer_iters"): ("outer_iters", int),
     ("factorization", "early_stop_rel_tol"): ("early_stop_rel_tol", float),
@@ -219,8 +227,7 @@ def cmd_ingest(cfg: RunConfig, force: bool) -> int:
         **asdict(stats), "n_train": len(train_idx), "n_test": len(test_idx),
         "vocab_size": bundle.vocab.size, "base_seed": cfg.base_seed,
     }
-    with open(paths["corpus"] / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats_obj, fh, indent=2, sort_keys=True)
+    serialize.write_text(paths["corpus"] / "stats.json", json.dumps(stats_obj, indent=2, sort_keys=True))
     print(f"users    {stats.n_users}")
     print(f"items    {stats.n_items}")
     print(f"ratings  {stats.n_ratings}")
@@ -251,13 +258,12 @@ def cmd_train(cfg: RunConfig, model_kind: str, force: bool) -> int:
     )
     paths["models"].mkdir(parents=True, exist_ok=True)
     factorize.save_model(model, ckpt)
-    loss_csv = paths["models"] / f"{kind}_loss.csv"
-    with open(loss_csv, "w", encoding="utf-8") as fh:
-        fh.write("iteration,loss_after_user_update,loss_after_item_update,loss\n")
-        for it, (lu, li, le) in enumerate(zip(model.log.losses_after_user,
-                                              model.log.losses_after_item,
-                                              model.log.losses), start=1):
-            fh.write(f"{it},{lu:.10e},{li:.10e},{le:.10e}\n")
+    lines = ["iteration,loss_after_user_update,loss_after_item_update,loss\n"]
+    lines += [f"{it},{lu:.10e},{li:.10e},{le:.10e}\n"
+              for it, (lu, li, le) in enumerate(zip(model.log.losses_after_user,
+                                                    model.log.losses_after_item,
+                                                    model.log.losses), start=1)]
+    serialize.write_text(paths["models"] / f"{kind}_loss.csv", "".join(lines))
     print(f"{kind}: {model.log.n_iterations()} outer iterations, "
           f"final loss {model.log.losses[-1]:.6e}, {model.log.seconds:.1f}s")
     print(f"checkpoint written to {ckpt}")
@@ -276,9 +282,7 @@ def cmd_evaluate(cfg: RunConfig, model_kind: str, clip: bool, force: bool) -> in
     model = factorize.load_model(ckpt)
     score, n_test = evaluate.evaluate_model(model, bundle, clip=clip)
     paths["reports"].mkdir(parents=True, exist_ok=True)
-    with open(report, "w", encoding="utf-8") as fh:
-        fh.write("model,n_test,clip,rmse\n")
-        fh.write(f"{kind},{n_test},{int(clip)},{score:.6f}\n")
+    serialize.write_text(report, f"model,n_test,clip,rmse\n{kind},{n_test},{int(clip)},{score:.6f}\n")
     print(f"{kind}: test RMSE {score:.5f} over {n_test} ratings"
           + (" (clipped to [1, 5])" if clip else ""))
     return EXIT_OK
@@ -303,8 +307,8 @@ def cmd_compare(cfg: RunConfig, clip: bool, force: bool) -> int:
         clip=clip, verbose=True,
     )
     paths["reports"].mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(report.to_csv(), encoding="utf-8")
-    plot_path.write_text(report.to_plot_data(), encoding="utf-8")
+    serialize.write_text(csv_path, report.to_csv())
+    serialize.write_text(plot_path, report.to_plot_data())
     print()
     print(report.format_table())
     print(f"\nreport written to {csv_path}")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import factorize
-from .textcnn import CnnConfig, OptimizerConfig
+from .linalg import SolveError
+from .textcnn import CnnConfig, OptimizerConfig, TrainingDivergedError
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,9 @@ def run_experiment(bundle, model_hypers: list[factorize.Hyperparams],
     """Averaged comparison: every model, n_runs seeds, one shared split.
 
     The split is the one already stored in the bundle; run r trains with
-    seed base_seed + r.  A failed run is recorded (rmse nan plus the error
-    text) and the remaining cells still execute.
+    seed base_seed + r.  A run that fails in training (a diverged CNN or an
+    unsolvable half-step) is recorded (rmse nan plus the error text) and the
+    remaining cells still execute; any other exception propagates.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -168,7 +170,7 @@ def run_experiment(bundle, model_hypers: list[factorize.Hyperparams],
                 score, _ = evaluate_model(model, bundle, clip=clip)
                 result = RunResult(hyper.model_kind, run, seed, score,
                                    time.perf_counter() - t0)
-            except Exception as exc:  # keep going; the report marks the cell failed
+            except (TrainingDivergedError, SolveError) as exc:  # the report marks the cell failed
                 result = RunResult(hyper.model_kind, run, seed, float("nan"),
                                    time.perf_counter() - t0, error=str(exc))
             if verbose:

@@ -1,14 +1,16 @@
 """Dense linear algebra for the closed-form factor updates.
 
-The row updates only ever need k x k symmetric positive-definite solves with
-k around 50, so one Cholesky factorization per row is the right tool; no
-iterative solvers.  Everything runs in float64.
+The half-steps solve many small symmetric positive-definite systems at once:
+both functions here take a stack of matrices (``(..., n, n)``) and right-hand
+sides (``(..., n)``), and a single 2-d system is a stack of none.  A stacked
+Cholesky factorization checks positive definiteness and numpy's stacked LU
+solve does the solving, each one call for the whole stack; no iterative
+solvers.  Everything runs in float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 
 class SolveError(ValueError):
@@ -24,55 +26,62 @@ class SingularMatrixError(SolveError):
 
 
 def weighted_gram(columns: np.ndarray) -> np.ndarray:
-    """Sum of outer products c c^T over a k x n block of column vectors.
+    """Sum of outer products c c^T over each k x n block of column vectors.
 
-    The result is exactly symmetric: each strict upper-triangle entry is
-    computed once and mirrored below the diagonal.  An empty block (n == 0)
-    yields the k x k zero matrix.
+    columns is one (k, n) block or a stack (..., k, n); the result is the
+    matching (k, k) or (..., k, k).  Each result is exactly symmetric: every
+    strict upper-triangle entry is computed once and mirrored below the
+    diagonal.  An empty block (n == 0) yields the k x k zero matrix.
     """
     cols = np.asarray(columns, dtype=np.float64)
-    if cols.ndim != 2:
-        raise ValueError(f"expected a 2-d column block, got shape {cols.shape}")
-    gram = cols @ cols.T
-    lower = np.tril_indices_from(gram, -1)
-    gram[lower] = gram.T[lower]
+    if cols.ndim < 2:
+        raise ValueError(f"expected a column block of at least 2 dimensions, got shape {cols.shape}")
+    gram = cols @ cols.swapaxes(-1, -2)
+    lower, upper = np.tril_indices(gram.shape[-1], -1)
+    gram[..., lower, upper] = gram[..., upper, lower]
     return gram
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A via Cholesky.
+    """Solve A x = b for each symmetric positive-definite A of a stack.
 
-    A must be symmetric to within 1e-10 (relative to its largest entry).
-    Raises SingularMatrixError naming the first failing pivot when A is not
+    a has shape (..., n, n) and b the matching (..., n).  Each A must be
+    symmetric to within 1e-10 (relative to its own largest entry).  Raises
+    SolveError on non-finite entries and SingularMatrixError, naming the
+    first failing pivot of the first failing system, when an A is not
     positive definite.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if b.shape != (a.shape[0],):
-        raise ValueError(f"right-hand side shape {b.shape} does not match matrix of size {a.shape[0]}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if b.shape != a.shape[:-1]:
+        raise ValueError(f"right-hand side shape {b.shape} does not match matrices of shape {a.shape}")
     if not np.isfinite(a).all() or not np.isfinite(b).all():
         raise SolveError("non-finite entries in linear system")
-    skew = np.abs(a - a.T).max() if a.size else 0.0
-    if skew > 1e-10 * (1.0 + np.abs(a).max()):
-        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {skew:g}")
+    if a.size:
+        skew = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+        scale = np.abs(a).max(axis=(-2, -1))
+        if (skew > 1e-10 * (1.0 + scale)).any():
+            raise ValueError(f"matrix is not symmetric: max |A - A^T| = {skew.max():g}")
     try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except LinAlgError:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
         raise SingularMatrixError(_first_bad_pivot(a)) from None
-    return cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 def _first_bad_pivot(a: np.ndarray) -> int:
-    # Error path only: redo the factorization slowly to locate the pivot.
-    n = a.shape[0]
-    chol = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - chol[j, :j] @ chol[j, :j]
-        if not np.isfinite(d) or d <= 0.0:
-            return j
-        chol[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            chol[j + 1:, j] = (a[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
-    return n - 1
+    # Error path only: redo the factorizations slowly, one system at a time,
+    # to locate the first failing system and its pivot.
+    for system in a.reshape(-1, *a.shape[-2:]):
+        n = system.shape[0]
+        chol = np.zeros_like(system)
+        for j in range(n):
+            d = system[j, j] - chol[j, :j] @ chol[j, :j]
+            if not np.isfinite(d) or d <= 0.0:
+                return j
+            chol[j, j] = np.sqrt(d)
+            if j + 1 < n:
+                chol[j + 1:, j] = (system[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
+    return a.shape[-1] - 1

@@ -82,13 +82,22 @@ def unpack_container(blob: bytes, magic: bytes, supported_versions: tuple[int, .
 
 
 def write_container(path, magic: bytes, version: int, sections: dict[str, bytes]) -> None:
+    """Write a container file atomically (see _write_atomic)."""
+    _write_atomic(path, pack_container(magic, version, sections))
+
+
+def write_text(path, text: str) -> None:
+    """Write a UTF-8 text report atomically (see _write_atomic)."""
+    _write_atomic(path, text.encode("utf-8"))
+
+
+def _write_atomic(path, data: bytes) -> None:
     """Write a temporary file beside path and rename it over path, so that a
     failed write leaves the existing file untouched and no temporary file."""
-    blob = pack_container(magic, version, sections)
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -199,12 +199,12 @@ def test_training_failure_exit_code(tmp_path, review_file, monkeypatch, capsys):
 
 
 def test_compare_exits_nonzero_only_when_all_runs_fail(tmp_path, review_file, monkeypatch):
-    from biconvmf import cli
+    from biconvmf import cli, textcnn
     cfg = write_config(tmp_path, review_file, tmp_path / "out")
     assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
 
     def explode(*args, **kwargs):
-        raise ValueError("boom")
+        raise textcnn.TrainingDivergedError("boom")
 
     monkeypatch.setattr(cli.evaluate.factorize, "train", explode)
     code = main(["compare", "--config", str(cfg)])
@@ -278,3 +278,72 @@ def test_evaluate_refuses_checkpoint_missing_meta_key(tmp_path, review_file, cap
     assert main(["evaluate", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "missing meta key 'log'" in err and "Traceback" not in err
+
+
+def test_zero_patience_is_config_error(tmp_path, review_file, capsys):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out",
+                       factorization={"early_stop_patience": 0})
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_CONFIG
+    assert "early_stop_patience must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out/models/PMF.ckpt").exists()
+
+
+@pytest.mark.parametrize("raw, value", [("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+                                        ("0", False), ("no", False), ("False", False), ("OFF", False)])
+def test_pretrained_trainable_accepts_boolean_words(tmp_path, review_file, raw, value):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out", cnn={"pretrained_trainable": raw})
+    assert load_config(cfg).pretrained_trainable is value
+
+
+@pytest.mark.parametrize("raw", ["ture", "2", "y", "enabled"])
+def test_pretrained_trainable_rejects_other_words(tmp_path, review_file, capsys, raw):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out", cnn={"pretrained_trainable": raw})
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "pretrained_trainable" in err and repr(raw) in err
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["ingest"], "corpus/stats.json"),
+    (["train", "--model", "PMF"], "models/PMF_loss.csv"),
+    (["evaluate", "--model", "PMF"], "reports/PMF_eval.csv"),
+    (["compare"], "reports/comparison.csv"),
+    (["compare"], "reports/comparison_plot.txt"),
+])
+def test_failed_report_write_keeps_old_report(tmp_path, review_file, monkeypatch, argv, report):
+    import builtins
+
+    from biconvmf import serialize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    for command in (["ingest"], ["train", "--model", "PMF"], ["evaluate", "--model", "PMF"], ["compare"]):
+        assert main([*command, "--config", str(cfg)]) == EXIT_OK
+    path = tmp_path / "out" / report
+    before = path.read_bytes()
+
+    class FailingFile:
+        """Opens the real file, then fails part-way through the first write."""
+
+        def __init__(self, name, mode):
+            self.fh = builtins.open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:10])
+            raise OSError("disk full")
+
+    def failing_open(name, mode="r", *args, **kwargs):
+        if Path(name) == Path(f"{path}.tmp"):
+            return FailingFile(name, mode)
+        return builtins.open(name, mode, *args, **kwargs)
+
+    monkeypatch.setattr(serialize, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        main([*argv, "--config", str(cfg), "--force"])
+    assert path.read_bytes() == before
+    assert not Path(f"{path}.tmp").exists()

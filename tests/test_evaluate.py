@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from biconvmf import evaluate, factorize, textcnn
 from biconvmf.evaluate import SplitSpec, rmse, run_experiment, split
+from biconvmf.linalg import SingularMatrixError
 
 
 # ---------------------------------------------------------------- split
@@ -126,24 +127,52 @@ def test_pmf_runs_barely_vary_across_seeds(tiny_bundle):
     assert max(vals) - min(vals) < 0.01
 
 
-def test_failed_runs_are_marked_and_do_not_stop_others(tiny_bundle):
+def fail_kind(monkeypatch, kind, error):
+    """Make factorize.train raise error for one model kind and run the others."""
+    real_train = factorize.train
+
+    def train(bundle, hyper, **kwargs):
+        if hyper.model_kind == kind:
+            raise error
+        return real_train(bundle, hyper, **kwargs)
+
+    monkeypatch.setattr(factorize, "train", train)
+
+
+def test_failed_runs_are_marked_and_do_not_stop_others(tiny_bundle, monkeypatch):
     hypers = [
         factorize.Hyperparams.for_model("PMF", n_factors=4, outer_iters=2),
-        # no pretrained table supplied: every BiConvMF+ run must fail
-        factorize.Hyperparams.for_model("BiConvMF+", n_factors=4, outer_iters=2),
+        factorize.Hyperparams.for_model("ConvMF", n_factors=4, outer_iters=2),
     ]
-    cfg = textcnn.CnnConfig(max_len=tiny_bundle.max_len, embedding_dim=6,
-                            output_dim=4, window_sizes=(2,), n_filters=3)
-    report = run_experiment(tiny_bundle, hypers, cnn_config=cfg, n_runs=2, base_seed=1)
+    fail_kind(monkeypatch, "ConvMF", SingularMatrixError(2))
+    report = run_experiment(tiny_bundle, hypers, n_runs=2, base_seed=1)
     pmf = report.runs_for("PMF")
-    plus = report.runs_for("BiConvMF+")
+    conv = report.runs_for("ConvMF")
     assert all(not r.failed for r in pmf)
-    assert all(r.failed and np.isnan(r.rmse) for r in plus)
+    assert all(r.failed and np.isnan(r.rmse) for r in conv)
     assert not report.all_failed()
-    assert "pretrained" in plus[0].error
+    assert "pivot at index 2" in conv[0].error
     # failed cells appear as nan in the artifacts instead of vanishing
     assert "nan" in report.to_csv()
     assert "nan" in report.to_plot_data()
+
+
+def test_diverged_training_marks_cell_failed(tiny_bundle, monkeypatch):
+    hypers = [factorize.Hyperparams.for_model("PMF", n_factors=4, outer_iters=2)]
+    fail_kind(monkeypatch, "PMF", textcnn.TrainingDivergedError("non-finite joint loss"))
+    report = run_experiment(tiny_bundle, hypers, n_runs=2, base_seed=1)
+    assert report.all_failed()
+    assert all(np.isnan(r.rmse) and "non-finite" in r.error for r in report.results)
+
+
+@pytest.mark.parametrize("error", [TypeError("bug in the trainer"),
+                                   ValueError("BiConvMF+ requires a pretrained embedding table")])
+def test_other_errors_propagate_from_run_experiment(tiny_bundle, monkeypatch, error):
+    hypers = [factorize.Hyperparams.for_model("PMF", n_factors=4, outer_iters=2)]
+    fail_kind(monkeypatch, "PMF", error)
+    with pytest.raises(type(error)) as raised:
+        run_experiment(tiny_bundle, hypers, n_runs=2, base_seed=1)
+    assert raised.value is error
 
 
 def test_csv_and_plot_layout(tiny_bundle):

@@ -148,6 +148,54 @@ def test_huge_lambda_pins_factors_to_targets():
     assert np.abs(u - targets).max() <= 1e-3
 
 
+def per_row_reference(side, fixed, targets, lam):
+    """Each row's normal equations (C C^T + lam I) x = C r + lam t, solved one by one."""
+    k = fixed.shape[0]
+    out = targets.copy()
+    for row in range(len(side.ptr) - 1):
+        idx, vals = side.row(row)
+        if len(idx):
+            c = fixed[:, idx]
+            out[:, row] = np.linalg.solve(c @ c.T + lam * np.eye(k), c @ vals + lam * targets[:, row])
+    return out
+
+
+def test_half_steps_match_per_row_solves_on_both_sides():
+    # k = 6; user degrees run 0..12 and item degrees 0..~30, so both sides
+    # mix the d < k push-through solve with the d >= k primal solve
+    rng = np.random.default_rng(21)
+    n_users, n_items, k = 40, 15, 6
+    users = np.repeat(np.arange(n_users), np.arange(n_users) % 13)
+    items = np.minimum(rng.geometric(0.12, len(users)) - 1, n_items - 2)  # last item unrated
+    ratings = SparseRatings(users, items, rng.uniform(1, 5, len(users)), n_users, n_items)
+    for counts in (ratings.user_counts(), ratings.item_counts()):
+        assert counts.min() == 0
+        assert ((counts > 0) & (counts < k)).any() and (counts >= k).any()
+    u = rng.normal(0, 1, (k, n_users))
+    v = rng.normal(0, 1, (k, n_items))
+    tu = rng.normal(0, 1, (k, n_users))
+    tv = rng.normal(0, 1, (k, n_items))
+    for lam in (0.3, 7.0, 250.0):
+        got_u = update_user_factors(ratings, v, tu, lam)
+        assert np.abs(got_u - per_row_reference(ratings.by_user, v, tu, lam)).max() <= 1e-10
+        got_v = update_item_factors(ratings, u, tv, lam)
+        assert np.abs(got_v - per_row_reference(ratings.by_item, u, tv, lam)).max() <= 1e-10
+        zeros = np.zeros((k, n_items))
+        got_v0 = update_item_factors(ratings, u, None, lam)
+        assert np.abs(got_v0 - per_row_reference(ratings.by_item, u, zeros, lam)).max() <= 1e-10
+        assert np.array_equal(got_v0[:, n_items - 1], zeros[:, n_items - 1])
+
+
+def test_half_step_leaves_targets_untouched():
+    ratings = small_ratings(4)
+    rng = np.random.default_rng(4)
+    v = rng.normal(0, 1, (3, ratings.n_items))
+    targets = rng.normal(0, 1, (3, ratings.n_users))
+    before = targets.copy()
+    update_user_factors(ratings, v, targets, 2.0)
+    assert np.array_equal(targets, before)
+
+
 # ---------------------------------------------------------------- joint loss
 
 def test_loss_zero_factors_is_half_sum_of_squares():
@@ -191,6 +239,12 @@ def test_loss_matches_naive_summation():
 
 
 # ---------------------------------------------------------------- training
+
+@pytest.mark.parametrize("patience", [0, -1])
+def test_hyperparams_reject_patience_below_one(patience):
+    with pytest.raises(ValueError, match="early_stop_patience must be >= 1"):
+        Hyperparams(model_kind="PMF", early_stop_patience=patience)
+
 
 def one_cell_bundle(rating=4.0):
     from biconvmf import corpus

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from biconvmf.linalg import SingularMatrixError, spd_solve, weighted_gram
+from biconvmf.linalg import SingularMatrixError, SolveError, spd_solve, weighted_gram
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -24,12 +24,21 @@ def test_gram_hand_value():
     np.testing.assert_array_equal(weighted_gram(cols), [[10.0, 14.0], [14.0, 20.0]])
 
 
-@given(st.integers(1, 6).flatmap(
-    lambda k: st.integers(0, 8).flatmap(
-        lambda n: arrays(np.float64, (k, n), elements=finite_floats))))
+@given(st.lists(st.integers(0, 3), max_size=2).flatmap(
+    lambda stack: st.integers(1, 6).flatmap(
+        lambda k: st.integers(0, 8).flatmap(
+            lambda n: arrays(np.float64, (*stack, k, n), elements=finite_floats)))))
 def test_gram_is_bitwise_symmetric(cols):
     gram = weighted_gram(cols)
-    assert np.array_equal(gram, gram.T)
+    assert gram.shape == cols.shape[:-1] + cols.shape[-2:-1]
+    assert np.array_equal(gram, gram.swapaxes(-1, -2))
+
+
+def test_stacked_gram_equals_per_block_grams():
+    cols = np.random.default_rng(3).normal(0, 1, (4, 3, 5))
+    gram = weighted_gram(cols)
+    for block, g in zip(cols, gram):
+        np.testing.assert_array_equal(g, weighted_gram(block))
 
 
 def test_spd_identity():
@@ -90,3 +99,62 @@ def test_spd_rejects_nonfinite():
     a[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         spd_solve(a, np.array([1.0, 1.0]))
+
+
+# ---------------------------------------------------------------- stacks
+
+def spd_stack(seed, n_systems, k):
+    rng = np.random.default_rng(seed)
+    a = weighted_gram(rng.normal(0, 1, (n_systems, k, k)))
+    a[:, np.arange(k), np.arange(k)] += 1.0
+    return a, rng.normal(0, 1, (n_systems, k))
+
+
+def test_stacked_spd_solve_equals_per_system_solves():
+    a, b = spd_stack(7, 6, 5)
+    x = spd_solve(a, b)
+    assert x.shape == (6, 5)
+    for a_i, b_i, x_i in zip(a, b, x):
+        np.testing.assert_allclose(x_i, spd_solve(a_i, b_i), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x_i, np.linalg.solve(a_i, b_i), rtol=0, atol=1e-12)
+
+
+def test_empty_stack_solves_to_empty():
+    assert spd_solve(np.empty((0, 3, 3)), np.empty((0, 3))).shape == (0, 3)
+
+
+def test_stack_with_one_non_pd_member_names_its_pivot():
+    a, b = spd_stack(8, 5, 4)
+    a[3] = np.diag([1.0, 2.0, -1.0, 3.0])
+    with pytest.raises(SingularMatrixError, match="pivot at index 2") as err:
+        spd_solve(a, b)
+    assert err.value.pivot == 2
+
+
+def test_stack_first_failing_member_is_reported():
+    a, b = spd_stack(9, 4, 3)
+    a[1] = np.diag([1.0, 0.0, 1.0])
+    a[2] = np.diag([-1.0, 1.0, 1.0])
+    with pytest.raises(SingularMatrixError) as err:
+        spd_solve(a, b)
+    assert err.value.pivot == 1
+
+
+def test_stack_with_asymmetric_member_rejected():
+    a, b = spd_stack(10, 3, 3)
+    a[1, 0, 2] += 1e-3
+    with pytest.raises(ValueError, match="not symmetric"):
+        spd_solve(a, b)
+
+
+def test_stack_with_nonfinite_member_rejected():
+    a, b = spd_stack(11, 3, 3)
+    b[2, 1] = np.inf
+    with pytest.raises(SolveError, match="non-finite"):
+        spd_solve(a, b)
+
+
+def test_stack_shape_mismatch_rejected():
+    a, b = spd_stack(12, 3, 3)
+    with pytest.raises(ValueError, match="does not match"):
+        spd_solve(a, b[:2])

@@ -84,6 +84,17 @@ def test_failed_write_keeps_existing_file_and_leaves_no_temp(tmp_path, monkeypat
     assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
 
 
+def test_failed_text_write_keeps_existing_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "report.csv"
+    serialize.write_text(path, "model,rmse\nPMF,1.0\n")
+    assert path.read_text(encoding="utf-8") == "model,rmse\nPMF,1.0\n"
+    monkeypatch.setattr(serialize, "open", FailingFile, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        serialize.write_text(path, "model,rmse\nPMF,2.0\n")
+    assert path.read_text(encoding="utf-8") == "model,rmse\nPMF,1.0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
 # ---------------------------------------------------------------- declared formats
 
 @dataclass(frozen=True)
