@@ -6,49 +6,4 @@ user and item factor matrices around those priors.  The package also ships
 the PMF and ConvMF baselines and an RMSE comparison harness.
 """
 
-from .corpus import (
-    CorpusBundle,
-    DatasetStats,
-    ReviewRecord,
-    TokenDocument,
-    Vocabulary,
-    build_bundle,
-    build_review_sets,
-    build_vocabulary,
-    load_bundle,
-    load_pretrained_embeddings,
-    parse_reviews,
-    save_bundle,
-    take_first_n,
-    tensorize,
-    tokenize,
-)
-from .evaluate import ExperimentReport, SplitSpec, evaluate_model, rmse, run_experiment, split
-from .factorize import (
-    DEFAULT_LAMBDAS,
-    MODEL_KINDS,
-    Hyperparams,
-    SparseRatings,
-    TrainedModel,
-    init_factors,
-    load_model,
-    save_model,
-    total_loss,
-    train,
-    update_item_factors,
-    update_user_factors,
-)
-from .linalg import SingularMatrixError, spd_solve, weighted_gram
-from .textcnn import (
-    CnnConfig,
-    CnnParams,
-    OptimizerConfig,
-    TrainingDivergedError,
-    fit_to_targets,
-    forward,
-    forward_many,
-    gradient,
-    init_cnn_params,
-)
-
 __version__ = "0.1.0"

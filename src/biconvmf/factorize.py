@@ -314,6 +314,27 @@ class TrainedModel:
         return float(self.predict_indexed([i], [j], clip=clip)[0])
 
 
+@dataclass
+class _Side:
+    """Training state of one factor side (users or items)."""
+
+    docs: np.ndarray                # one review document per factor column
+    lens: np.ndarray
+    lam: float                      # prior strength
+    weight_decay: float
+    fit_losses: list                # the TrainLog list of this side's CNN fit losses
+    cnn: CnnParams | None
+    encodings: np.ndarray | None    # (n, k) outputs of cnn on docs: the prior means
+    factors: np.ndarray | None = None   # (k, n) factor columns
+
+    def targets(self) -> np.ndarray | None:
+        """Prior means as columns, or None for the zero prior."""
+        return None if self.encodings is None else self.encodings.T
+
+    def weight_sqnorm(self) -> float:
+        return 0.0 if self.cnn is None else self.cnn.weight_sqnorm()
+
+
 def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
           optimizer: OptimizerConfig | None = None,
           pretrained_embedding: np.ndarray | None = None,
@@ -349,77 +370,48 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     # factor initialization.
     root = np.random.SeedSequence(hyper.seed)
     factors_ss, user_cnn_ss, item_cnn_ss, fits_ss = root.spawn(4)
-    u, v = init_factors(bundle.n_users, bundle.n_items, hyper.n_factors, factors_ss)
 
-    cnn_user = cnn_item = None
-    if want_user_cnn:
-        cnn_user = textcnn.init_cnn_params(
-            cnn_config, bundle.vocab.size, user_cnn_ss,
+    def start_side(docs, lens, lam, weight_decay, fit_losses, want_cnn, cnn_ss) -> _Side:
+        if not want_cnn:
+            return _Side(docs, lens, lam, weight_decay, fit_losses, None, None)
+        cnn = textcnn.init_cnn_params(
+            cnn_config, bundle.vocab.size, cnn_ss,
             embedding=pretrained_embedding if kind == "BiConvMF+" else None,
-            embedding_trainable=pretrained_trainable if kind == "BiConvMF+" else None,
-        )
-    if want_item_cnn:
-        cnn_item = textcnn.init_cnn_params(
-            cnn_config, bundle.vocab.size, item_cnn_ss,
-            embedding=pretrained_embedding if kind == "BiConvMF+" else None,
-            embedding_trainable=pretrained_trainable if kind == "BiConvMF+" else None,
-        )
-
-    def user_targets():
-        if cnn_user is None:
-            return None
-        return textcnn.forward_many(cnn_user, bundle.user_docs, bundle.user_doc_lens).T
-
-    def item_targets():
-        if cnn_item is None:
-            return None
-        return textcnn.forward_many(cnn_item, bundle.item_docs, bundle.item_doc_lens).T
-
-    def sqnorms():
-        return (cnn_user.weight_sqnorm() if cnn_user is not None else 0.0,
-                cnn_item.weight_sqnorm() if cnn_item is not None else 0.0)
+            embedding_trainable=pretrained_trainable if kind == "BiConvMF+" else None)
+        return _Side(docs, lens, lam, weight_decay, fit_losses, cnn,
+                     textcnn.forward_many(cnn, docs, lens))
 
     log = TrainLog()
-    t_user = user_targets()
-    t_item = item_targets()
-    wn_u, wn_i = sqnorms()
+    user = start_side(bundle.user_docs, bundle.user_doc_lens, hyper.lambda_user,
+                      hyper.weight_decay_user, log.fit_losses_user, want_user_cnn, user_cnn_ss)
+    item = start_side(bundle.item_docs, bundle.item_doc_lens, hyper.lambda_item,
+                      hyper.weight_decay_item, log.fit_losses_item, want_item_cnn, item_cnn_ss)
+    user.factors, item.factors = init_factors(bundle.n_users, bundle.n_items, hyper.n_factors,
+                                              factors_ss)
+    cnn_sides = [side for side in (user, item) if side.cnn is not None]
 
     def loss_now():
-        return total_loss(ratings, u, v, t_user, t_item,
-                          hyper.lambda_user, hyper.lambda_item,
-                          hyper.weight_decay_user, hyper.weight_decay_item,
-                          wn_u, wn_i)
+        return total_loss(ratings, user.factors, item.factors, user.targets(), item.targets(),
+                          user.lam, item.lam, user.weight_decay, item.weight_decay,
+                          user.weight_sqnorm(), item.weight_sqnorm())
 
     log.loss_initial = loss_now()
     streak = 0
     prev_loss = None
     for it in range(1, hyper.outer_iters + 1):
-        u = update_user_factors(ratings, v, t_user, hyper.lambda_user)
+        user.factors = update_user_factors(ratings, item.factors, user.targets(), user.lam)
         log.losses_after_user.append(loss_now())
-        v = update_item_factors(ratings, u, t_item, hyper.lambda_item)
+        item.factors = update_item_factors(ratings, user.factors, item.targets(), item.lam)
         log.losses_after_item.append(loss_now())
 
-        # the fresh targets are this iteration's forward outputs, so the fits
-        # can skip their initial evaluation pass
-        if cnn_user is not None:
-            fit_seed_u, fit_seed_i = fits_ss.spawn(2)
-            cnn_user, fl = textcnn.fit_to_targets(
-                cnn_user, bundle.user_docs, bundle.user_doc_lens, u.T,
-                hyper.lambda_user, hyper.weight_decay_user, optimizer, fit_seed_u,
-                start_outputs=t_user.T)
-            log.fit_losses_user.append(fl)
-        else:
-            fit_seed_i = fits_ss.spawn(1)[0] if cnn_item is not None else None
-        if cnn_item is not None:
-            cnn_item, fl = textcnn.fit_to_targets(
-                cnn_item, bundle.item_docs, bundle.item_doc_lens, v.T,
-                hyper.lambda_item, hyper.weight_decay_item, optimizer, fit_seed_i,
-                start_outputs=t_item.T)
-            log.fit_losses_item.append(fl)
+        # each fit starts from this iteration's encodings and returns those of
+        # the params it keeps, so no side is encoded outside the fit
+        for side, fit_seed in zip(cnn_sides, fits_ss.spawn(len(cnn_sides))):
+            side.cnn, fit_loss, side.encodings = textcnn.fit_to_targets(
+                side.cnn, side.docs, side.lens, side.factors.T, side.lam, side.weight_decay,
+                optimizer, fit_seed, start_outputs=side.encodings)
+            side.fit_losses.append(fit_loss)
 
-        t_user = user_targets()
-        t_item = item_targets()
-        wn_u, wn_i = sqnorms()
         loss = loss_now()
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite joint loss at outer iteration {it}: {loss}")
@@ -438,16 +430,15 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     user_counts = ratings.user_counts()
     item_counts = ratings.item_counts()
     global_mean = float(ratings.ratings.mean())
-    sums = np.zeros(bundle.n_items)
-    np.add.at(sums, ratings.items, ratings.ratings)
+    sums = np.bincount(ratings.items, weights=ratings.ratings, minlength=bundle.n_items)
     item_means = np.where(item_counts > 0, sums / np.maximum(item_counts, 1), global_mean)
     log.seconds = time.perf_counter() - t0
 
     return TrainedModel(
         model_kind=kind, hyper=hyper,
-        user_factors=u, item_factors=v,
+        user_factors=user.factors, item_factors=item.factors,
         user_ids=list(bundle.user_ids), item_ids=list(bundle.item_ids),
-        cnn_user=cnn_user, cnn_item=cnn_item,
+        cnn_user=user.cnn, cnn_item=item.cnn,
         global_mean=global_mean, item_means=item_means,
         user_train_counts=user_counts, item_train_counts=item_counts,
         log=log,

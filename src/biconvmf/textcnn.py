@@ -76,6 +76,18 @@ class OptimizerConfig:
     epochs: int = 5
     batch_size: int = 128
 
+    def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 <= self.decay < 1.0:
+            raise ValueError(f"decay must be in [0, 1), got {self.decay}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 @serialize.container(CNN_MAGIC, CNN_VERSION,
                      "embedding", "proj", "proj_bias", ("filters", "filter_biases"))
@@ -333,31 +345,38 @@ def _slots(arrays: CnnParams | CnnGrads, embedding_trainable: bool) -> list[np.n
     return head + [*arrays.filters, *arrays.filter_biases, arrays.proj, arrays.proj_bias]
 
 
-def mean_loss(params: CnnParams, docs, lens, targets, target_weight,
-              weight_decay, chunk: int = 256) -> float:
-    """Mean per-document loss with dropout disabled."""
-    docs = np.asarray(docs)
-    lens = np.asarray(lens)
-    targets = np.asarray(targets, dtype=np.float64)
-    out = forward_many(params, docs, lens, chunk=chunk)
-    data = 0.5 * target_weight * float(((out - targets) ** 2).sum()) / docs.shape[0]
+def _objective(params: CnnParams, outputs, targets, target_weight, weight_decay) -> float:
+    """Mean per-document fit loss of given encodings, plus weight decay."""
+    data = 0.5 * target_weight * float(((outputs - targets) ** 2).sum()) / outputs.shape[0]
     return data + 0.5 * weight_decay * params.weight_sqnorm()
+
+
+def mean_loss(params: CnnParams, docs, lens, targets, target_weight,
+              weight_decay) -> tuple[float, np.ndarray]:
+    """Mean per-document loss with dropout disabled, and the encodings it
+    scored: (loss, forward_many(params, docs, lens))."""
+    out = forward_many(params, docs, lens)
+    return _objective(params, out, np.asarray(targets, dtype=np.float64),
+                      target_weight, weight_decay), out
 
 
 def fit_to_targets(params: CnnParams, docs, lens, targets,
                    target_weight: float, weight_decay: float,
                    optimizer: OptimizerConfig | None = None,
-                   seed=0, start_outputs: np.ndarray | None = None) -> tuple[CnnParams, float]:
+                   seed=0, *, start_outputs: np.ndarray
+                   ) -> tuple[CnnParams, float, np.ndarray]:
     """Fit the encoder to per-document target vectors.
 
     Runs seeded mini-batch RMSprop with dropout on the pooled features.  The
     input params are not mutated; the returned params are the best seen by
-    mean loss (dropout disabled), so the result is never worse than the
-    starting point on the given data.  Returns (params, best mean loss).
+    mean loss (dropout disabled) after each epoch, so the result is never
+    worse than the starting point on the given data.
 
-    start_outputs, when given, must equal forward_many(params, docs, lens);
-    it spares the initial evaluation pass when the caller has just encoded
-    the same documents with the same params.
+    start_outputs must equal forward_many(params, docs, lens): the caller has
+    these encodings already, so the start is scored without another pass.
+    Returns (params, mean loss, outputs), where outputs are the encodings of
+    the returned params -- from the evaluation pass that selected them, or
+    start_outputs when the start wins.
     """
     cfg = optimizer or OptimizerConfig()
     docs = np.asarray(docs)
@@ -366,6 +385,8 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
     n = docs.shape[0]
     if targets.shape != (n, params.config.output_dim):
         raise ValueError(f"targets shape {targets.shape} != ({n}, {params.config.output_dim})")
+    if start_outputs.shape != targets.shape:
+        raise ValueError(f"start_outputs shape {start_outputs.shape} != {targets.shape}")
     _check_docs(params.config, docs, lens)
 
     current = params.copy()
@@ -374,12 +395,8 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
     slots = _slots(current, current.embedding_trainable)
     caches = [np.zeros_like(s) for s in slots]
 
-    if start_outputs is not None:
-        best_loss = (0.5 * target_weight * float(((start_outputs - targets) ** 2).sum()) / n
-                     + 0.5 * weight_decay * current.weight_sqnorm())
-    else:
-        best_loss = mean_loss(current, docs, lens, targets, target_weight, weight_decay)
-    best = current.copy()
+    best, best_outputs = params, start_outputs
+    best_loss = _objective(params, start_outputs, targets, target_weight, weight_decay)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
@@ -401,8 +418,7 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
                 cache *= cfg.decay
                 cache += (1.0 - cfg.decay) * g * g
                 slot -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.epsilon)
-        cur = mean_loss(current, docs, lens, targets, target_weight, weight_decay)
+        cur, outputs = mean_loss(current, docs, lens, targets, target_weight, weight_decay)
         if cur < best_loss:
-            best_loss = cur
-            best = current.copy()
-    return best, best_loss
+            best, best_loss, best_outputs = current.copy(), cur, outputs
+    return best, best_loss, best_outputs

@@ -304,6 +304,22 @@ def test_pretrained_trainable_rejects_other_words(tmp_path, review_file, capsys,
     assert "pretrained_trainable" in err and repr(raw) in err
 
 
+@pytest.mark.parametrize("key, raw, name", [
+    ("batch_size", "0", "batch_size"), ("batch_size", "-5", "batch_size"),
+    ("epochs_per_outer", "0", "epochs"), ("epochs_per_outer", "-1", "epochs"),
+    ("learning_rate", "0", "learning_rate"), ("learning_rate", "-0.01", "learning_rate"),
+])
+def test_bad_cnn_optimizer_setting_is_config_error(tmp_path, review_file, capsys, key, raw, name):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out", cnn={key: raw})
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    for argv in (["train", "--model", "ConvMF"], ["compare"]):
+        assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{name} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "out/models/ConvMF.ckpt").exists()
+    assert not (tmp_path / "out/reports/comparison.csv").exists()
+
+
 @pytest.mark.parametrize("argv, report", [
     (["ingest"], "corpus/stats.json"),
     (["train", "--model", "PMF"], "models/PMF_loss.csv"),

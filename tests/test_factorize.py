@@ -334,6 +334,46 @@ def test_train_same_seed_bitwise_identical(tiny_bundle):
     assert a.log.losses == b.log.losses
 
 
+def test_train_encodes_each_side_once(tiny_bundle, monkeypatch):
+    # forward_many inside mean_loss is the fit's evaluation pass; any other
+    # call encodes a side's documents for the trainer itself
+    forward_many, mean_loss = textcnn.forward_many, textcnn.mean_loss
+    encoded, in_eval = [], False
+
+    def counting_forward_many(params, docs, lens, *args, **kwargs):
+        if not in_eval:
+            encoded.append(docs)
+        return forward_many(params, docs, lens, *args, **kwargs)
+
+    def flagged_mean_loss(*args, **kwargs):
+        nonlocal in_eval
+        in_eval = True
+        try:
+            return mean_loss(*args, **kwargs)
+        finally:
+            in_eval = False
+
+    monkeypatch.setattr(textcnn, "forward_many", counting_forward_many)
+    monkeypatch.setattr(textcnn, "mean_loss", flagged_mean_loss)
+    cfg = textcnn.CnnConfig(max_len=tiny_bundle.max_len, embedding_dim=8,
+                            output_dim=4, window_sizes=(2, 3), n_filters=4, dropout_rate=0.2)
+    hyper = Hyperparams.for_model("BiConvMF", n_factors=4, outer_iters=3, seed=6)
+    model = factorize.train(tiny_bundle, hyper, cnn_config=cfg,
+                            optimizer=textcnn.OptimizerConfig(epochs=2, batch_size=32))
+    assert model.log.n_iterations() == 3
+    assert [id(d) for d in encoded] == [id(tiny_bundle.user_docs), id(tiny_bundle.item_docs)]
+
+    # the reused encodings are those of the final CNNs
+    ratings = SparseRatings(tiny_bundle.train_user_idx, tiny_bundle.train_item_idx,
+                            tiny_bundle.train_ratings, tiny_bundle.n_users, tiny_bundle.n_items)
+    t_user = forward_many(model.cnn_user, tiny_bundle.user_docs, tiny_bundle.user_doc_lens).T
+    t_item = forward_many(model.cnn_item, tiny_bundle.item_docs, tiny_bundle.item_doc_lens).T
+    assert model.log.losses[-1] == factorize.total_loss(
+        ratings, model.user_factors, model.item_factors, t_user, t_item,
+        hyper.lambda_user, hyper.lambda_item, hyper.weight_decay_user, hyper.weight_decay_item,
+        model.cnn_user.weight_sqnorm(), model.cnn_item.weight_sqnorm())
+
+
 def test_early_stop_triggers(tiny_bundle):
     hyper = Hyperparams.for_model("PMF", n_factors=4, outer_iters=60, seed=2,
                                   early_stop_rel_tol=1e-4, early_stop_patience=3)

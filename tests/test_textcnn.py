@@ -179,17 +179,24 @@ def test_gradient_with_dropout_mask_matches_finite_differences():
 
 # ---------------------------------------------------------------- fitting
 
+def fit(params, docs, lens, targets, *args, **kwargs):
+    """fit_to_targets started from the params' own encodings."""
+    return textcnn.fit_to_targets(params, docs, lens, targets, *args,
+                                  start_outputs=textcnn.forward_many(params, docs, lens), **kwargs)
+
+
 def test_fit_keeps_perfect_params():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=21)
     docs, lens = random_docs(cfg, 24, 9, seed=22)
     targets = textcnn.forward_many(params, docs, lens)
-    fitted, loss = textcnn.fit_to_targets(
-        params, docs, lens, targets, 2.0, 0.0,
-        OptimizerConfig(epochs=3, batch_size=8), seed=23)
+    fitted, loss, outputs = fit(params, docs, lens, targets, 2.0, 0.0,
+                                OptimizerConfig(epochs=3, batch_size=8), seed=23)
     assert loss <= 1e-12
     assert np.array_equal(fitted.proj, params.proj)
     assert np.array_equal(fitted.embedding, params.embedding)
+    # the start won, so its encodings come back
+    assert np.array_equal(outputs, textcnn.forward_many(fitted, docs, lens))
 
 
 def test_fit_reduces_loss():
@@ -197,12 +204,24 @@ def test_fit_reduces_loss():
     params = textcnn.init_cnn_params(cfg, 9, seed=31)
     docs, lens = random_docs(cfg, 40, 9, seed=32)
     targets = np.random.default_rng(33).normal(0, 1, (40, 3))
-    start = textcnn.mean_loss(params, docs, lens, targets, 2.0, 1e-4)
-    fitted, final = textcnn.fit_to_targets(
-        params, docs, lens, targets, 2.0, 1e-4,
-        OptimizerConfig(epochs=4, batch_size=16), seed=34)
+    start, start_outputs = textcnn.mean_loss(params, docs, lens, targets, 2.0, 1e-4)
+    assert np.array_equal(start_outputs, textcnn.forward_many(params, docs, lens))
+    fitted, final, outputs = fit(params, docs, lens, targets, 2.0, 1e-4,
+                                 OptimizerConfig(epochs=4, batch_size=16), seed=34)
     assert final < start
-    assert final == pytest.approx(textcnn.mean_loss(fitted, docs, lens, targets, 2.0, 1e-4))
+    assert final == textcnn.mean_loss(fitted, docs, lens, targets, 2.0, 1e-4)[0]
+    # a later epoch won, so its evaluation pass's encodings come back
+    assert np.array_equal(outputs, textcnn.forward_many(fitted, docs, lens))
+
+
+def test_fit_refuses_mismatched_start_outputs():
+    cfg = tiny_config()
+    params = textcnn.init_cnn_params(cfg, 9, seed=35)
+    docs, lens = random_docs(cfg, 6, 9, seed=36)
+    targets = np.zeros((6, 3))
+    with pytest.raises(ValueError, match="start_outputs"):
+        textcnn.fit_to_targets(params, docs, lens, targets, 2.0, 0.0,
+                               start_outputs=np.zeros((5, 3)))
 
 
 def test_fit_never_returns_worse_than_start():
@@ -210,10 +229,9 @@ def test_fit_never_returns_worse_than_start():
     params = textcnn.init_cnn_params(cfg, 9, seed=41)
     docs, lens = random_docs(cfg, 16, 9, seed=42)
     targets = np.random.default_rng(43).normal(0, 3, (16, 3))
-    start = textcnn.mean_loss(params, docs, lens, targets, 5.0, 0.0)
-    _, final = textcnn.fit_to_targets(
-        params, docs, lens, targets, 5.0, 0.0,
-        OptimizerConfig(learning_rate=0.5, epochs=1, batch_size=4), seed=44)
+    start, _ = textcnn.mean_loss(params, docs, lens, targets, 5.0, 0.0)
+    _, final, _ = fit(params, docs, lens, targets, 5.0, 0.0,
+                      OptimizerConfig(learning_rate=0.5, epochs=1, batch_size=4), seed=44)
     assert final <= start
 
 
@@ -222,9 +240,10 @@ def test_fit_same_seed_is_bitwise_identical():
     params = textcnn.init_cnn_params(cfg, 9, seed=51)
     docs, lens = random_docs(cfg, 20, 9, seed=52)
     targets = np.random.default_rng(53).normal(0, 1, (20, 3))
-    a, la = textcnn.fit_to_targets(params, docs, lens, targets, 2.0, 1e-4, seed=54)
-    b, lb = textcnn.fit_to_targets(params, docs, lens, targets, 2.0, 1e-4, seed=54)
+    a, la, oa = fit(params, docs, lens, targets, 2.0, 1e-4, seed=54)
+    b, lb, ob = fit(params, docs, lens, targets, 2.0, 1e-4, seed=54)
     assert la == lb
+    assert np.array_equal(oa, ob)
     assert np.array_equal(a.embedding, b.embedding)
     assert np.array_equal(a.proj, b.proj)
     assert all(np.array_equal(x, y) for x, y in zip(a.filters, b.filters))
@@ -237,7 +256,7 @@ def test_fit_does_not_mutate_input():
     snapshot = params.copy()
     docs, lens = random_docs(cfg, 10, 9, seed=62)
     targets = np.random.default_rng(63).normal(0, 1, (10, 3))
-    textcnn.fit_to_targets(params, docs, lens, targets, 2.0, 1e-4, seed=64)
+    fit(params, docs, lens, targets, 2.0, 1e-4, seed=64)
     assert np.array_equal(params.embedding, snapshot.embedding)
     assert np.array_equal(params.proj, snapshot.proj)
 
@@ -250,7 +269,7 @@ def test_fit_aborts_on_divergence():
     targets = np.zeros((8, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError, match="batch"):
-            textcnn.fit_to_targets(params, docs, lens, targets, 2.0, 0.0, seed=73)
+            fit(params, docs, lens, targets, 2.0, 0.0, seed=73)
 
 
 def test_frozen_embedding_does_not_move():
@@ -261,9 +280,19 @@ def test_frozen_embedding_does_not_move():
     assert params.embedding_trainable is False
     docs, lens = random_docs(cfg, 12, 9, seed=83)
     targets = np.random.default_rng(84).normal(0, 1, (12, 3))
-    fitted, _ = textcnn.fit_to_targets(params, docs, lens, targets, 2.0, 1e-4, seed=85)
+    fitted, _, _ = fit(params, docs, lens, targets, 2.0, 1e-4, seed=85)
     assert np.array_equal(fitted.embedding, pre)
     assert not np.array_equal(fitted.proj, params.proj)
+
+
+@pytest.mark.parametrize("setting, name", [
+    ({"learning_rate": 0.0}, "learning_rate"), ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"decay": 1.0}, "decay"), ({"decay": -0.1}, "decay"),
+    ({"epsilon": 0.0}, "epsilon"), ({"epochs": 0}, "epochs"), ({"batch_size": 0}, "batch_size"),
+])
+def test_optimizer_config_rejects_bad_settings(setting, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        OptimizerConfig(**setting)
 
 
 # ---------------------------------------------------------------- serialization
