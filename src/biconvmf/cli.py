@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus, evaluate, factorize, linalg, serialize, textcnn
 
 EXIT_OK = 0
@@ -63,9 +65,8 @@ class RunConfig:
 
     def hyper_for(self, model_kind: str, seed: int | None = None) -> factorize.Hyperparams:
         kind = factorize.canonical_model_kind(model_kind)
-        lambdas = {**dict(zip(LAMBDA_KEYS, factorize.DEFAULT_LAMBDAS[kind])), **self.lambdas.get(kind, {})}
-        return factorize.Hyperparams(
-            model_kind=kind, n_factors=self.n_factors, **lambdas,
+        return factorize.Hyperparams.for_model(
+            kind, n_factors=self.n_factors, **self.lambdas.get(kind, {}),
             weight_decay_user=self.weight_decay, weight_decay_item=self.weight_decay,
             outer_iters=self.outer_iters,
             early_stop_rel_tol=self.early_stop_rel_tol,
@@ -280,6 +281,15 @@ def cmd_evaluate(cfg: RunConfig, model_kind: str, clip: bool, force: bool) -> in
         raise DataError(f"checkpoint not found at {ckpt}; run `biconvmf train --model {kind}` first")
     bundle = _load_bundle_or_fail(paths)
     model = factorize.load_model(ckpt)
+    if model.user_ids != bundle.user_ids or model.item_ids != bundle.item_ids:
+        raise DataError(f"{ckpt} was trained on another corpus (its user or item ids differ "
+                        f"from {paths['bundle']}); retrain it")
+    if not (np.array_equal(model.user_train_counts,
+                           np.bincount(bundle.train_user_idx, minlength=bundle.n_users))
+            and np.array_equal(model.item_train_counts,
+                               np.bincount(bundle.train_item_idx, minlength=bundle.n_items))):
+        raise DataError(f"{ckpt} was trained on another split (its per-user or per-item "
+                        f"training counts differ from {paths['bundle']}); retrain it")
     score, n_test = evaluate.evaluate_model(model, bundle, clip=clip)
     paths["reports"].mkdir(parents=True, exist_ok=True)
     serialize.write_text(report, f"model,n_test,clip,rmse\n{kind},{n_test},{int(clip)},{score:.6f}\n")

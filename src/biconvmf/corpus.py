@@ -14,8 +14,8 @@ maximal [a-z0-9] runs, no stemming and no stopword list.
 from __future__ import annotations
 
 import itertools
+import json
 import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,10 +42,6 @@ class ReviewParseError(ValueError):
         self.line_no = line_no
         self.reason = reason
         super().__init__(f"line {line_no}: {reason}")
-
-
-class MalformedRecordWarning(UserWarning):
-    """Emitted for skipped lines when parse_reviews(on_error='skip')."""
 
 
 class EmbeddingFormatError(ValueError):
@@ -76,37 +72,24 @@ def tokenize(text: str) -> list[str]:
     return TOKEN_RE.findall(text.lower())
 
 
-def parse_reviews(source, on_error: str = "abort"):
+def parse_reviews(source):
     """Yield ReviewRecords from a JSON-lines file path or an iterable of lines.
 
     Each line must be a JSON object with non-empty string reviewerID and
     asin and a finite numeric overall in [1, 5]; a missing reviewText
-    becomes the empty string.  Malformed lines raise ReviewParseError with
-    the line number, or warn and continue when on_error='skip'.
+    becomes the empty string.  A malformed line raises ReviewParseError with
+    its line number.
     """
-    if on_error not in ("abort", "skip"):
-        raise ValueError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            yield from _parse_lines(fh, on_error)
-    else:
-        yield from _parse_lines(source, on_error)
-
-
-def _parse_lines(lines, on_error: str):
-    import json
-
-    for line_no, line in enumerate(lines, start=1):
+            yield from parse_reviews(fh)
+        return
+    for line_no, line in enumerate(source, start=1):
         try:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReviewParseError(line_no, f"invalid JSON ({exc.msg})") from None
-            yield _record_from_obj(obj, line_no)
-        except ReviewParseError as exc:
-            if on_error == "abort":
-                raise
-            warnings.warn(f"skipping {exc}", MalformedRecordWarning, stacklevel=3)
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ReviewParseError(line_no, f"invalid JSON ({exc.msg})") from None
+        yield _record_from_obj(obj, line_no)
 
 
 def _record_from_obj(obj, line_no: int) -> ReviewRecord:
@@ -176,9 +159,6 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
     def __iter__(self):
         return iter(self.tokens)

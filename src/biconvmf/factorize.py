@@ -111,10 +111,6 @@ class CsrSide(NamedTuple):
         ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
         return cls(ptr, cols[order], vals[order])
 
-    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        sl = slice(self.ptr[r], self.ptr[r + 1])
-        return self.cols[sl], self.vals[sl]
-
     def counts(self) -> np.ndarray:
         return np.diff(self.ptr)
 
@@ -143,23 +139,6 @@ class SparseRatings:
 
     def __len__(self) -> int:
         return len(self.ratings)
-
-    @property
-    def density(self) -> float:
-        cells = self.n_users * self.n_items
-        return len(self) / cells if cells else 0.0
-
-    def items_of(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.by_user.row(user)
-
-    def users_of(self, item: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.by_item.row(item)
-
-    def user_counts(self) -> np.ndarray:
-        return self.by_user.counts()
-
-    def item_counts(self) -> np.ndarray:
-        return self.by_item.counts()
 
 
 def init_factors(n_users: int, n_items: int, n_factors: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -284,34 +263,29 @@ class TrainedModel:
     item_train_counts: np.ndarray
     log: TrainLog
 
-    def __post_init__(self):
-        self._user_pos = {uid: i for i, uid in enumerate(self.user_ids)}
-        self._item_pos = {iid: j for j, iid in enumerate(self.item_ids)}
-
     def predict_indexed(self, user_idx, item_idx, clip: bool = False) -> np.ndarray:
         """Vectorized predictions for index arrays, with cold-start fallbacks.
 
-        A user or item is cold when it has no training ratings or a negative
-        index (an id unknown to training): a cold item falls back to the global
-        training mean, a cold user (on a warm item) to that item's training
-        mean; otherwise the factor dot product.
+        A user or item is cold when it has no training ratings: a cold item
+        falls back to the global training mean, a cold user (on a warm item)
+        to that item's training mean; otherwise the factor dot product.  An
+        index outside [0, n) is a ValueError.
         """
         user_idx = np.asarray(user_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
+        for side, idx, n in (("user", user_idx, len(self.user_ids)),
+                             ("item", item_idx, len(self.item_ids))):
+            bad = idx[(idx < 0) | (idx >= n)]
+            if bad.size:
+                raise ValueError(f"{side} index {bad[0]} outside [0, {n})")
         dots = np.einsum("ki,ki->i", self.user_factors[:, user_idx], self.item_factors[:, item_idx])
-        warm_u = (user_idx >= 0) & (self.user_train_counts[user_idx] > 0)
-        warm_i = (item_idx >= 0) & (self.item_train_counts[item_idx] > 0)
+        warm_u = self.user_train_counts[user_idx] > 0
+        warm_i = self.item_train_counts[item_idx] > 0
         preds = np.where(~warm_i, self.global_mean,
                          np.where(~warm_u, self.item_means[item_idx], dots))
         if clip:
             preds = np.clip(preds, 1.0, 5.0)
         return preds
-
-    def predict(self, user_key: str, item_key: str, clip: bool = False) -> float:
-        """Single prediction by id; an id absent from training counts as cold."""
-        i = self._user_pos.get(user_key, -1)
-        j = self._item_pos.get(item_key, -1)
-        return float(self.predict_indexed([i], [j], clip=clip)[0])
 
 
 @dataclass
@@ -427,8 +401,8 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
                 break
         prev_loss = loss
 
-    user_counts = ratings.user_counts()
-    item_counts = ratings.item_counts()
+    user_counts = ratings.by_user.counts()
+    item_counts = ratings.by_item.counts()
     global_mean = float(ratings.ratings.mean())
     sums = np.bincount(ratings.items, weights=ratings.ratings, minlength=bundle.n_items)
     item_means = np.where(item_counts > 0, sums / np.maximum(item_counts, 1), global_mean)

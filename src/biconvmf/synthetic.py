@@ -48,9 +48,10 @@ FILLER_WORDS = [
 # Degree profile: (user share, ratings per user); most users rate once.
 DEGREE_PROFILE = [(0.45, 1), (0.27, 2), (0.16, 3), (0.08, 5), (0.04, 8)]
 
+REVIEW_LEN_RANGE = (10, 26)  # words per review, both ends inclusive
 
-def synthetic_review_corpus(n_users: int = 900, n_items: int = 120, seed: int = 0,
-                            review_len_range: tuple[int, int] = (10, 26)) -> list[dict]:
+
+def synthetic_review_corpus(n_users: int = 900, n_items: int = 120, seed: int = 0) -> list[dict]:
     """Generate review records in file order; length follows the degree profile."""
     rng = np.random.default_rng(seed)
     n_topics = len(TOPIC_WORDS)
@@ -86,16 +87,14 @@ def synthetic_review_corpus(n_users: int = 900, n_items: int = 120, seed: int = 
             "reviewerID": f"U{u:05d}",
             "asin": f"I{j:04d}",
             "overall": float(rating),
-            "reviewText": _review_text(rng, item_topic[j], user_topic[u], rating,
-                                        review_len_range),
+            "reviewText": _review_text(rng, item_topic[j], user_topic[u], rating),
             "unixReviewTime": int(1_300_000_000 + idx * 86_400),
         })
     return records
 
 
-def _review_text(rng, item_topic: int, user_topic: int, rating: int,
-                 len_range: tuple[int, int]) -> str:
-    n = int(rng.integers(len_range[0], len_range[1] + 1))
+def _review_text(rng, item_topic: int, user_topic: int, rating: int) -> str:
+    n = int(rng.integers(REVIEW_LEN_RANGE[0], REVIEW_LEN_RANGE[1] + 1))
     n_topic = max(2, int(0.35 * n))
     n_sent = max(2, int(0.30 * n))
     n_fav = max(1, int(0.10 * n))

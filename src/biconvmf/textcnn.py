@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import serialize
-from .corpus import TokenDocument
 
 CNN_MAGIC = b"BCMFCNNP"
 CNN_VERSION = 1
 
 POOL_MASK_VALUE = -2.0  # below tanh's range, so masked windows never win the max
+ENCODE_CHUNK = 128      # documents per forward pass in forward_many
 
 
 class TrainingDivergedError(RuntimeError):
@@ -263,17 +263,7 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnGra
     return CnnGrads(g_emb, g_filters, g_biases, g_proj, g_proj_bias)
 
 
-def forward(params: CnnParams, doc: TokenDocument) -> np.ndarray:
-    """Deterministic encoding of one document (dropout disabled)."""
-    docs = np.asarray(doc.indices, dtype=np.int64)[None, :]
-    lens = np.array([doc.true_len], dtype=np.int64)
-    _check_docs(params.config, docs, lens)
-    out, _ = _forward_batch(params, docs, lens, None, want_cache=False)
-    return out[0]
-
-
-def forward_many(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
-                 chunk: int = 128) -> np.ndarray:
+def forward_many(params: CnnParams, docs: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Deterministic encoding of a document matrix, processed in chunks.
 
     Documents are grouped by length so that short-document chunks are not
@@ -285,8 +275,8 @@ def forward_many(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
     _check_docs(params.config, docs, lens)
     order = np.argsort(lens, kind="stable")
     out = np.empty((docs.shape[0], params.config.output_dim))
-    for start in range(0, docs.shape[0], chunk):
-        sel = order[start:start + chunk]
+    for start in range(0, docs.shape[0], ENCODE_CHUNK):
+        sel = order[start:start + ENCODE_CHUNK]
         out[sel], _ = _forward_batch(params, docs[sel], lens[sel], None, want_cache=False)
     return out
 
@@ -312,30 +302,6 @@ def _loss_and_grads(params: CnnParams, docs, lens, targets, target_weight,
         if grads.embedding is not None:
             grads.embedding += weight_decay * params.embedding
             grads.embedding[0] = 0.0
-    return loss, grads
-
-
-def gradient(params: CnnParams, doc: TokenDocument, target: np.ndarray,
-             target_weight: float, weight_decay: float,
-             dropout_mask: np.ndarray | None = None) -> tuple[float, CnnGrads]:
-    """Loss and exact partial derivatives for a single document.
-
-    The optional dropout mask multiplies the pooled features; pass the same
-    mask when checking against finite differences.
-    """
-    if target_weight <= 0:
-        raise ValueError(f"target_weight must be > 0, got {target_weight}")
-    if weight_decay < 0:
-        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (params.config.output_dim,):
-        raise ValueError(f"target shape {target.shape} != ({params.config.output_dim},)")
-    docs = np.asarray(doc.indices, dtype=np.int64)[None, :]
-    lens = np.array([doc.true_len], dtype=np.int64)
-    _check_docs(params.config, docs, lens)
-    mask = None if dropout_mask is None else np.asarray(dropout_mask, dtype=np.float64)[None, :]
-    loss, grads = _loss_and_grads(params, docs, lens, target[None, :],
-                                  target_weight, weight_decay, mask)
     return loss, grads
 
 

@@ -1,17 +1,19 @@
 """Finite-difference gradient checking used by the CNN and acceptance tests.
 
-The embedding's padding row (row 0) is pinned to zero by construction, so it
-is excluded from the check: it is a constant, not a free parameter.
+Each case is a one-document batch for textcnn._loss_and_grads, the function
+the CNN fit calls.  The embedding's padding row (row 0) is pinned to zero by
+construction, so it is excluded from the check: it is a constant, not a free
+parameter.
 """
 
 import numpy as np
 
 from biconvmf import textcnn
-from biconvmf.corpus import TokenDocument
 
 
 def random_case(seed):
-    """A random small CNN setup: (params, doc, target, target_weight, weight_decay, mask)."""
+    """A random small CNN setup as a one-row batch:
+    (params, docs, lens, targets, target_weight, weight_decay, mask)."""
     rng = np.random.default_rng(seed)
     max_len = int(rng.integers(4, 11))
     p = int(rng.integers(1, 5))
@@ -29,23 +31,24 @@ def random_case(seed):
     true_len = int(rng.integers(0, max_len + 1))
     idx = np.zeros(max_len, dtype=np.int32)
     idx[:true_len] = rng.integers(1, vocab_size + 1, true_len)
-    doc = TokenDocument(idx, true_len)
     target = rng.normal(0.0, 1.0, k)
     target_weight = float(rng.uniform(0.5, 3.0))
     weight_decay = float(rng.uniform(0.0, 0.1))
     mask = None
     if rng.integers(0, 2):
         mask = (rng.random(cfg.total_filters) >= 0.3) / 0.7
-    return params, doc, target, target_weight, weight_decay, mask
+    return (params, idx[None], np.array([true_len]), target[None], target_weight, weight_decay,
+            None if mask is None else mask[None])
 
 
-def max_relative_error(params, doc, target, target_weight, weight_decay, mask,
+def max_relative_error(params, docs, lens, targets, target_weight, weight_decay, mask,
                        h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    _, grads = textcnn.gradient(params, doc, target, target_weight, weight_decay, mask)
+    args = (params, docs, lens, targets, target_weight, weight_decay, mask)
+    _, grads = textcnn._loss_and_grads(*args)
 
     def loss_at():
-        loss, _ = textcnn.gradient(params, doc, target, target_weight, weight_decay, mask)
+        loss, _ = textcnn._loss_and_grads(*args)
         return loss
 
     slots = []

@@ -72,7 +72,8 @@ def test_criterion_1_gradient_oracle():
 def _grad_inf_norm_users(ratings, u, v, targets, lam):
     worst = 0.0
     for i in range(ratings.n_users):
-        idx, vals = ratings.items_of(i)
+        mine = ratings.users == i
+        idx, vals = ratings.items[mine], ratings.ratings[mine]
         g = lam * (u[:, i] - (targets[:, i] if targets is not None else 0.0))
         for j, r in zip(idx, vals):
             g = g + (u[:, i] @ v[:, j] - r) * v[:, j]
@@ -83,7 +84,8 @@ def _grad_inf_norm_users(ratings, u, v, targets, lam):
 def _grad_inf_norm_items(ratings, u, v, targets, lam):
     worst = 0.0
     for j in range(ratings.n_items):
-        idx, vals = ratings.users_of(j)
+        mine = ratings.items == j
+        idx, vals = ratings.users[mine], ratings.ratings[mine]
         g = lam * (v[:, j] - (targets[:, j] if targets is not None else 0.0))
         for i, r in zip(idx, vals):
             g = g + (u[:, i] @ v[:, j] - r) * u[:, i]

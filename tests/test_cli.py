@@ -140,6 +140,30 @@ def test_evaluate_reports_rmse(tmp_path, review_file, capsys):
     assert report.startswith("model,n_test,clip,rmse")
 
 
+def test_evaluate_refuses_checkpoint_from_another_split(tmp_path, review_file, capsys):
+    # same records under a new split seed: the ids match, the training counts do not
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    assert main(["ingest", "--config", str(cfg), "--seed", "12", "--force"]) == EXIT_OK
+    assert main(["evaluate", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
+    assert "another split" in capsys.readouterr().err
+    assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
+
+
+def test_evaluate_refuses_checkpoint_from_another_corpus(tmp_path, review_file, capsys):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    larger = tmp_path / "larger.json"
+    synthetic.write_jsonl(synthetic.synthetic_review_corpus(n_users=150, n_items=40, seed=13), larger)
+    cfg = write_config(tmp_path, larger, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg), "--force"]) == EXIT_OK
+    assert main(["evaluate", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
+    assert "another corpus" in capsys.readouterr().err
+    assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
+
+
 def test_compare_writes_reports(tmp_path, review_file, capsys):
     cfg = write_config(tmp_path, review_file, tmp_path / "out")
     assert main(["ingest", "--config", str(cfg)]) == EXIT_OK

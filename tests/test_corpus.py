@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from biconvmf import corpus, serialize
 from biconvmf.corpus import (
-    MalformedRecordWarning,
     ReviewParseError,
     ReviewRecord,
     build_review_sets,
@@ -52,19 +50,6 @@ def test_parse_error_carries_line_number():
 def test_parse_rejects_out_of_range_rating():
     with pytest.raises(ReviewParseError, match="outside"):
         list(parse_reviews([line(reviewerID="A", asin="B", overall=7.0)]))
-
-
-def test_parse_skip_mode_warns_and_continues():
-    lines = [
-        line(reviewerID="A", asin="B", overall=4.0),
-        "garbage",
-        line(reviewerID="C", asin="D", overall=2.0),
-    ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        recs = list(parse_reviews(lines, on_error="skip"))
-    assert [r.user_id for r in recs] == ["A", "C"]
-    assert any(issubclass(w.category, MalformedRecordWarning) for w in caught)
 
 
 def test_parse_reads_files(tmp_path):
@@ -154,7 +139,7 @@ def test_vocabulary_rejects_nonpositive_max():
 
 def test_vocabulary_min_doc_freq_can_empty():
     vocab = build_vocabulary(["a b", "c d"], max_vocab=10, min_doc_freq=2)
-    assert len(vocab) == 0
+    assert vocab.size == 0
 
 
 def test_vocabulary_truncates():
@@ -163,7 +148,7 @@ def test_vocabulary_truncates():
 
 
 def test_vocabulary_empty_corpus():
-    assert len(build_vocabulary([], max_vocab=5)) == 0
+    assert build_vocabulary([], max_vocab=5).size == 0
 
 
 def test_vocabulary_lowercases_and_splits_on_non_alnum():

@@ -26,13 +26,15 @@ def small_ratings(seed=3, n_users=7, n_items=5, n=15):
 
 def test_ratings_adjacency_mirrors_triplets():
     ratings = SparseRatings([0, 1, 0], [2, 0, 1], [5.0, 3.0, 1.0], 2, 3)
-    idx, vals = ratings.items_of(0)
-    np.testing.assert_array_equal(idx, [2, 1])
-    np.testing.assert_array_equal(vals, [5.0, 1.0])
-    idx, vals = ratings.users_of(0)
-    np.testing.assert_array_equal(idx, [1])
-    np.testing.assert_array_equal(vals, [3.0])
-    assert ratings.density == pytest.approx(3 / 6)
+    by_user, by_item = ratings.by_user, ratings.by_item
+    np.testing.assert_array_equal(by_user.ptr, [0, 2, 3])
+    np.testing.assert_array_equal(by_user.cols, [2, 1, 0])
+    np.testing.assert_array_equal(by_user.vals, [5.0, 1.0, 3.0])
+    np.testing.assert_array_equal(by_item.ptr, [0, 1, 2, 3])
+    np.testing.assert_array_equal(by_item.cols, [1, 0, 0])
+    np.testing.assert_array_equal(by_item.vals, [3.0, 1.0, 5.0])
+    np.testing.assert_array_equal(by_user.counts(), [2, 1])
+    np.testing.assert_array_equal(by_item.counts(), [1, 1, 1])
 
 
 def test_ratings_rejects_out_of_range():
@@ -101,7 +103,8 @@ def user_side_gradient(ratings, u, v, targets, lam):
     """Independent stationarity oracle: d(joint loss)/d u_i written out directly."""
     worst = 0.0
     for i in range(ratings.n_users):
-        idx, vals = ratings.items_of(i)
+        mine = ratings.users == i
+        idx, vals = ratings.items[mine], ratings.ratings[mine]
         target = targets[:, i] if targets is not None else 0.0
         g = lam * (u[:, i] - target)
         for j, r in zip(idx, vals):
@@ -113,7 +116,8 @@ def user_side_gradient(ratings, u, v, targets, lam):
 def item_side_gradient(ratings, u, v, targets, lam):
     worst = 0.0
     for j in range(ratings.n_items):
-        idx, vals = ratings.users_of(j)
+        mine = ratings.items == j
+        idx, vals = ratings.users[mine], ratings.ratings[mine]
         target = targets[:, j] if targets is not None else 0.0
         g = lam * (v[:, j] - target)
         for i, r in zip(idx, vals):
@@ -148,15 +152,18 @@ def test_huge_lambda_pins_factors_to_targets():
     assert np.abs(u - targets).max() <= 1e-3
 
 
-def per_row_reference(side, fixed, targets, lam):
-    """Each row's normal equations (C C^T + lam I) x = C r + lam t, solved one by one."""
+def per_row_reference(rows, cols, vals, fixed, targets, lam):
+    """Each row's normal equations (C C^T + lam I) x = C r + lam t, solved one by
+    one; row r's entries are read from the triplets where rows == r."""
     k = fixed.shape[0]
     out = targets.copy()
-    for row in range(len(side.ptr) - 1):
-        idx, vals = side.row(row)
+    for row in range(targets.shape[1]):
+        mine = rows == row
+        idx = cols[mine]
         if len(idx):
             c = fixed[:, idx]
-            out[:, row] = np.linalg.solve(c @ c.T + lam * np.eye(k), c @ vals + lam * targets[:, row])
+            out[:, row] = np.linalg.solve(c @ c.T + lam * np.eye(k),
+                                          c @ vals[mine] + lam * targets[:, row])
     return out
 
 
@@ -168,21 +175,23 @@ def test_half_steps_match_per_row_solves_on_both_sides():
     users = np.repeat(np.arange(n_users), np.arange(n_users) % 13)
     items = np.minimum(rng.geometric(0.12, len(users)) - 1, n_items - 2)  # last item unrated
     ratings = SparseRatings(users, items, rng.uniform(1, 5, len(users)), n_users, n_items)
-    for counts in (ratings.user_counts(), ratings.item_counts()):
+    for counts in (ratings.by_user.counts(), ratings.by_item.counts()):
         assert counts.min() == 0
         assert ((counts > 0) & (counts < k)).any() and (counts >= k).any()
     u = rng.normal(0, 1, (k, n_users))
     v = rng.normal(0, 1, (k, n_items))
     tu = rng.normal(0, 1, (k, n_users))
     tv = rng.normal(0, 1, (k, n_items))
+    by_user = (ratings.users, ratings.items, ratings.ratings)
+    by_item = (ratings.items, ratings.users, ratings.ratings)
     for lam in (0.3, 7.0, 250.0):
         got_u = update_user_factors(ratings, v, tu, lam)
-        assert np.abs(got_u - per_row_reference(ratings.by_user, v, tu, lam)).max() <= 1e-10
+        assert np.abs(got_u - per_row_reference(*by_user, v, tu, lam)).max() <= 1e-10
         got_v = update_item_factors(ratings, u, tv, lam)
-        assert np.abs(got_v - per_row_reference(ratings.by_item, u, tv, lam)).max() <= 1e-10
+        assert np.abs(got_v - per_row_reference(*by_item, u, tv, lam)).max() <= 1e-10
         zeros = np.zeros((k, n_items))
         got_v0 = update_item_factors(ratings, u, None, lam)
-        assert np.abs(got_v0 - per_row_reference(ratings.by_item, u, zeros, lam)).max() <= 1e-10
+        assert np.abs(got_v0 - per_row_reference(*by_item, u, zeros, lam)).max() <= 1e-10
         assert np.array_equal(got_v0[:, n_items - 1], zeros[:, n_items - 1])
 
 
@@ -412,36 +421,43 @@ def make_predictable_model():
     )
 
 
+# user 0 (alice) and item 0 (widget) have training ratings; user 1 and item 1 have none
+
 def test_predict_dot_product():
     model = make_predictable_model()
-    assert model.predict("alice", "widget") == pytest.approx(11.0)
+    assert model.predict_indexed([0], [0])[0] == pytest.approx(11.0)
 
 
 def test_predict_cold_user_falls_back_to_item_mean():
     model = make_predictable_model()
-    assert model.predict("cold_carl", "widget") == pytest.approx(4.5)
-    assert model.predict("nobody", "widget") == pytest.approx(4.5)
+    assert model.predict_indexed([1], [0])[0] == pytest.approx(4.5)
 
 
 def test_predict_cold_item_falls_back_to_global_mean():
     model = make_predictable_model()
-    assert model.predict("alice", "ghost") == pytest.approx(3.7)
-    assert model.predict("alice", "nothing") == pytest.approx(3.7)
-    assert model.predict("nobody", "nothing") == pytest.approx(3.7)
+    np.testing.assert_allclose(model.predict_indexed([0, 1], [1, 1]), [3.7, 3.7])
 
 
 def test_predict_clip_flag():
     model = make_predictable_model()
-    assert model.predict("alice", "widget", clip=True) == 5.0
+    assert model.predict_indexed([0], [0], clip=True)[0] == 5.0
 
 
-def test_predict_indexed_matches_keyed():
+def test_predict_indexed_mixes_fallbacks_per_pair():
     model = make_predictable_model()
-    preds = model.predict_indexed([0, 1, 0], [0, 0, 1])
-    expected = [model.predict("alice", "widget"),
-                model.predict("cold_carl", "widget"),
-                model.predict("alice", "ghost")]
-    np.testing.assert_allclose(preds, expected, rtol=0, atol=0)
+    preds = model.predict_indexed([0, 1, 0, 1], [0, 0, 1, 1])
+    np.testing.assert_array_equal(preds, [11.0, 4.5, 3.7, 3.7])
+
+
+@pytest.mark.parametrize("users, items, message", [
+    ([0, -1], [0, 0], "user index -1 outside"),
+    ([0, 2], [0, 0], "user index 2 outside"),
+    ([0], [-3], "item index -3 outside"),
+    ([0], [2], "item index 2 outside"),
+])
+def test_predict_indexed_refuses_out_of_range_index(users, items, message):
+    with pytest.raises(ValueError, match=message):
+        make_predictable_model().predict_indexed(users, items)
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -466,10 +482,9 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path, tiny_bundle):
     assert np.array_equal(back.cnn_user.embedding, model.cnn_user.embedding)
     assert back.log.losses == model.log.losses
     rng = np.random.default_rng(0)
-    users = rng.choice(model.user_ids, 100)
-    items = rng.choice(model.item_ids, 100)
-    for u, i in zip(users, items):
-        assert back.predict(u, i) == model.predict(u, i)
+    users = rng.integers(0, len(model.user_ids), 100)
+    items = rng.integers(0, len(model.item_ids), 100)
+    assert np.array_equal(back.predict_indexed(users, items), model.predict_indexed(users, items))
     factorize.save_model(back, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 

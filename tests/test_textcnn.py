@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from biconvmf import serialize, textcnn
-from biconvmf.corpus import TokenDocument
 from biconvmf.textcnn import CnnConfig, OptimizerConfig, TrainingDivergedError
 
 import gradcheck
@@ -55,8 +54,8 @@ def test_config_rejects_bad_dropout():
 def test_forward_all_zero_params_on_padding_doc():
     cfg = tiny_config()
     params = zero_params(cfg)
-    doc = TokenDocument(np.zeros(cfg.max_len, dtype=np.int32), 0)
-    np.testing.assert_array_equal(textcnn.forward(params, doc), np.zeros(3))
+    out = textcnn.forward_many(params, np.zeros((1, cfg.max_len), dtype=np.int32), [0])
+    np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
 
 def test_forward_hand_computed_tanh():
@@ -68,10 +67,9 @@ def test_forward_hand_computed_tanh():
     params.embedding[1] = 1.0
     params.filters[0][:] = 1.0
     params.proj[:] = 1.0
-    doc = TokenDocument(np.array([1, 0, 0, 0], dtype=np.int32), 1)
-    out = textcnn.forward(params, doc)
-    np.testing.assert_allclose(out, [np.tanh(2.0)], rtol=0, atol=0)
-    assert abs(out[0] - 0.96403) < 1e-5
+    out = textcnn.forward_many(params, np.array([[1, 0, 0, 0]], dtype=np.int32), [1])
+    np.testing.assert_allclose(out, [[np.tanh(2.0)]], rtol=0, atol=0)
+    assert abs(out[0, 0] - 0.96403) < 1e-5
 
 
 def test_forward_projection_bias_passthrough():
@@ -79,8 +77,8 @@ def test_forward_projection_bias_passthrough():
     params = zero_params(cfg)
     rng = np.random.default_rng(1)
     params.proj_bias[:] = rng.normal(0, 1, 3)
-    doc = TokenDocument(np.array([1, 2, 3] + [0] * 9, dtype=np.int32), 3)
-    np.testing.assert_array_equal(textcnn.forward(params, doc), params.proj_bias)
+    docs = np.array([[1, 2, 3] + [0] * 9], dtype=np.int32)
+    np.testing.assert_array_equal(textcnn.forward_many(params, docs, [3]), params.proj_bias[None])
 
 
 def test_forward_is_deterministic_bitwise():
@@ -93,13 +91,15 @@ def test_forward_is_deterministic_bitwise():
 
 
 def test_forward_many_matches_single():
+    # more documents than one chunk, so the batched pass crosses a chunk boundary
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=3)
-    docs, lens = random_docs(cfg, 6, 9, seed=4)
-    batched = textcnn.forward_many(params, docs, lens, chunk=2)
-    for i in range(6):
-        single = textcnn.forward(params, TokenDocument(docs[i], int(lens[i])))
-        np.testing.assert_allclose(batched[i], single, rtol=0, atol=1e-15)
+    n = textcnn.ENCODE_CHUNK + 12
+    docs, lens = random_docs(cfg, n, 9, seed=4)
+    batched = textcnn.forward_many(params, docs, lens)
+    for i in range(n):
+        single = textcnn.forward_many(params, docs[i:i + 1], lens[i:i + 1])
+        np.testing.assert_allclose(batched[i], single[0], rtol=0, atol=1e-15)
 
 
 def test_forward_output_independent_of_padding_amount():
@@ -129,7 +129,7 @@ def test_forward_validates_doc_length():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=3)
     with pytest.raises(ValueError):
-        textcnn.forward(params, TokenDocument(np.zeros(5, dtype=np.int32), 0))
+        textcnn.forward_many(params, np.zeros((1, 5), dtype=np.int32), [0])
 
 
 # ---------------------------------------------------------------- gradient
@@ -138,9 +138,8 @@ def test_gradient_zero_at_perfect_fit():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=11)
     docs, lens = random_docs(cfg, 1, 9, seed=12)
-    doc = TokenDocument(docs[0], int(lens[0]))
-    target = textcnn.forward(params, doc)
-    loss, grads = textcnn.gradient(params, doc, target, 2.0, 0.0)
+    targets = textcnn.forward_many(params, docs, lens)
+    loss, grads = textcnn._loss_and_grads(params, docs, lens, targets, 2.0, 0.0, None)
     assert loss == 0.0
     assert np.all(grads.proj == 0.0) and np.all(grads.proj_bias == 0.0)
     assert all(np.all(g == 0.0) for g in grads.filters)
@@ -151,10 +150,10 @@ def test_gradient_at_zero_params():
     # loss = (w/2)||t||^2 and the projection-bias gradient is -w * t
     cfg = tiny_config()
     params = zero_params(cfg)
-    doc = TokenDocument(np.array([1, 2] + [0] * 10, dtype=np.int32), 2)
+    docs = np.array([[1, 2] + [0] * 10], dtype=np.int32)
     target = np.array([0.5, -1.0, 2.0])
     weight = 3.0
-    loss, grads = textcnn.gradient(params, doc, target, weight, 0.0)
+    loss, grads = textcnn._loss_and_grads(params, docs, np.array([2]), target[None], weight, 0.0, None)
     assert loss == pytest.approx(0.5 * weight * float((target ** 2).sum()), abs=1e-12)
     np.testing.assert_allclose(grads.proj_bias, -weight * target, rtol=0, atol=1e-15)
     assert np.all(grads.proj == 0.0)
@@ -170,10 +169,11 @@ def test_gradient_with_dropout_mask_matches_finite_differences():
     rng = np.random.default_rng(99)
     cfg = tiny_config(max_len=6, embedding_dim=2, output_dim=2, window_sizes=(2,), n_filters=3)
     params = textcnn.init_cnn_params(cfg, 5, seed=1)
-    doc = TokenDocument(np.array([1, 4, 2, 0, 0, 0], dtype=np.int32), 3)
+    docs = np.array([[1, 4, 2, 0, 0, 0]], dtype=np.int32)
     target = rng.normal(0, 1, 2)
     mask = (rng.random(cfg.total_filters) >= 0.4) / 0.6
-    err = gradcheck.max_relative_error(params, doc, target, 1.5, 0.01, mask)
+    err = gradcheck.max_relative_error(params, docs, np.array([3]), target[None], 1.5, 0.01,
+                                       mask[None])
     assert err < 1e-4
 
 
