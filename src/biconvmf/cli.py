@@ -12,6 +12,7 @@ import argparse
 import configparser
 import json
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -252,11 +253,13 @@ def cmd_train(cfg: RunConfig, model_kind: str, force: bool) -> int:
     _require_no_overwrite(ckpt, force)
     bundle = _load_bundle_or_fail(paths)
     pretrained = _pretrained_table(cfg, bundle) if kind == "BiConvMF+" else None
+    t0 = time.perf_counter()
     model = factorize.train(
         bundle, cfg.hyper_for(kind), cnn_config=cfg.cnn_config(),
         optimizer=cfg.optimizer(), pretrained_embedding=pretrained,
         pretrained_trainable=cfg.pretrained_trainable, verbose=True,
     )
+    seconds = time.perf_counter() - t0
     paths["models"].mkdir(parents=True, exist_ok=True)
     factorize.save_model(model, ckpt)
     lines = ["iteration,loss_after_user_update,loss_after_item_update,loss\n"]
@@ -266,7 +269,7 @@ def cmd_train(cfg: RunConfig, model_kind: str, force: bool) -> int:
                                                     model.log.losses), start=1)]
     serialize.write_text(paths["models"] / f"{kind}_loss.csv", "".join(lines))
     print(f"{kind}: {model.log.n_iterations()} outer iterations, "
-          f"final loss {model.log.losses[-1]:.6e}, {model.log.seconds:.1f}s")
+          f"final loss {model.log.losses[-1]:.6e}, {seconds:.1f}s")
     print(f"checkpoint written to {ckpt}")
     return EXIT_OK
 
@@ -377,7 +380,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, corpus.ReviewParseError, serialize.ContainerError) as exc:
+    except (DataError, corpus.ReviewParseError, corpus.EmbeddingFormatError,
+            serialize.ContainerError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (textcnn.TrainingDivergedError, linalg.SolveError) as exc:

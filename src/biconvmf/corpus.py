@@ -77,16 +77,20 @@ def parse_reviews(source):
 
     Each line must be a JSON object with non-empty string reviewerID and
     asin and a finite numeric overall in [1, 5]; a missing reviewText
-    becomes the empty string.  A malformed line raises ReviewParseError with
-    its line number.
+    becomes the empty string.  A malformed line, or one that is not valid
+    UTF-8, raises ReviewParseError with its line number.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        # undecodable bytes come through as lone surrogates, refused below
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
             yield from parse_reviews(fh)
         return
     for line_no, line in enumerate(source, start=1):
         try:
+            line.encode("utf-8")
             obj = json.loads(line)
+        except UnicodeEncodeError:
+            raise ReviewParseError(line_no, "not valid UTF-8") from None
         except json.JSONDecodeError as exc:
             raise ReviewParseError(line_no, f"invalid JSON ({exc.msg})") from None
         yield _record_from_obj(obj, line_no)
@@ -221,12 +225,17 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, embedding_dim: int,
     Format: optional header line "count dim", then one line per word: the
     token followed by dim space-separated floats.  Vocabulary tokens missing
     from the file get a seeded Uniform(-0.25, 0.25) vector; row 0 (padding)
-    is all zeros.  A dimension mismatch is an error naming both dims.
+    is all zeros.  A dimension mismatch is an error naming both dims; a line
+    that is not valid UTF-8 is an error naming its number.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = True
         for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise EmbeddingFormatError(f"line {line_no} is not valid UTF-8") from None
             parts = line.rstrip("\n").split()
             if not parts:
                 continue

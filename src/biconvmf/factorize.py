@@ -22,7 +22,6 @@ batched ALS-WR half-step of Zhou et al., 2008), with no per-row loop.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -237,8 +236,6 @@ class TrainLog:
     fit_losses_user: list = field(default_factory=list)
     fit_losses_item: list = field(default_factory=list)
     stopped_early: bool = False
-    # not stored: checkpoints must be byte-identical across reruns of one config and seed
-    seconds: float = field(default=0.0, metadata=serialize.SKIP)
 
     def n_iterations(self) -> int:
         return len(self.losses)
@@ -321,7 +318,6 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     fitting entirely; with the same seed this reproduces the PMF trainer
     bit for bit (used as a reduction check).
     """
-    t0 = time.perf_counter()
     kind = hyper.model_kind
     ratings = SparseRatings(bundle.train_user_idx, bundle.train_item_idx,
                             bundle.train_ratings, bundle.n_users, bundle.n_items)
@@ -406,7 +402,6 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     global_mean = float(ratings.ratings.mean())
     sums = np.bincount(ratings.items, weights=ratings.ratings, minlength=bundle.n_items)
     item_means = np.where(item_counts > 0, sums / np.maximum(item_counts, 1), global_mean)
-    log.seconds = time.perf_counter() - t0
 
     return TrainedModel(
         model_kind=kind, hyper=hyper,

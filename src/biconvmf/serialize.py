@@ -140,9 +140,7 @@ def require_section(sections: dict[str, bytes], name: str) -> bytes:
     return sections[name]
 
 
-# Field metadata: SKIP keeps a field out of the file (it loads as its
-# default); INLINE stores a nested dataclass's keys in its owner's meta.
-SKIP = {"stored": "skip"}
+# Field metadata: INLINE stores a nested dataclass's keys in its owner's meta.
 INLINE = {"stored": "inline"}
 
 
@@ -192,17 +190,16 @@ def _to_sections(obj) -> dict[str, bytes]:
 
 
 def _plain(value, exclude=()):
-    """JSON form: sequences as lists, dataclasses as dicts of stored fields (not asdict: it copies arrays)."""
+    """JSON form: sequences as lists, dataclasses as dicts of fields (not asdict: it copies arrays)."""
     if value is None or isinstance(value, (str, int, float)):
         return value
     if not is_dataclass(value):
         return [_plain(v) for v in value]
     out = {}
     for f in fields(value):
-        stored = f.metadata.get("stored")
-        if f.name not in exclude and stored != "skip":
+        if f.name not in exclude:
             plain = _plain(getattr(value, f.name))
-            out.update(plain if stored == "inline" else {f.name: plain})
+            out.update(plain if f.metadata.get("stored") == "inline" else {f.name: plain})
     return out
 
 
@@ -242,7 +239,7 @@ def _from_sections(cls, payloads: dict[str, bytes]):
 
 
 def _rebuild(hint, value, where: str, given=None):
-    """value as its annotated type; a dataclass from a dict of exactly its stored fields not given."""
+    """value as its annotated type; a dataclass from a dict of exactly its fields not given."""
     if hint in (str, int, float, bool):
         return value
     if not is_dataclass(hint):
@@ -252,10 +249,9 @@ def _rebuild(hint, value, where: str, given=None):
     prefix = where + "." if where else ""
     hints, rest, kwargs = get_type_hints(hint), dict(value), dict(given or {})
     for f in fields(hint):
-        stored = f.metadata.get("stored")
-        if f.name in kwargs or stored == "skip":
+        if f.name in kwargs:
             continue
-        if stored == "inline":
+        if f.metadata.get("stored") == "inline":
             keys = [g.name for g in fields(hints[f.name]) if g.name in rest]
             kwargs[f.name] = _rebuild(hints[f.name], {k: rest.pop(k) for k in keys}, where)
         elif f.name not in rest:

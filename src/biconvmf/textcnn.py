@@ -18,7 +18,8 @@ one window per width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +30,8 @@ CNN_VERSION = 1
 
 POOL_MASK_VALUE = -2.0  # below tanh's range, so masked windows never win the max
 ENCODE_CHUNK = 128      # documents per forward pass in forward_many
+RMSPROP_DECAY = 0.9     # decay of the running mean of squared gradients
+RMSPROP_EPSILON = 1e-8  # added to its root before dividing
 
 
 class TrainingDivergedError(RuntimeError):
@@ -71,18 +74,12 @@ class OptimizerConfig:
     """Per-parameter adaptive step scaling (RMSprop-style)."""
 
     learning_rate: float = 1e-3
-    decay: float = 0.9
-    epsilon: float = 1e-8
     epochs: int = 5
     batch_size: int = 128
 
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {self.decay}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -93,6 +90,9 @@ class OptimizerConfig:
                      "embedding", "proj", "proj_bias", ("filters", "filter_biases"))
 @dataclass
 class CnnParams:
+    """The encoder's arrays; gradients come in the same shape, with embedding
+    None when it is frozen."""
+
     config: CnnConfig = field(metadata=serialize.INLINE)
     embedding: np.ndarray            # (vocab+1, embedding_dim); row 0 stays zero
     filters: list[np.ndarray]        # per window: (n_filters, w, embedding_dim)
@@ -106,32 +106,23 @@ class CnnParams:
             raise ValueError("need one filter bank and one bias vector per window size")
 
     def copy(self) -> "CnnParams":
-        return CnnParams(
-            config=self.config,
-            embedding=self.embedding.copy(),
-            filters=[f.copy() for f in self.filters],
-            filter_biases=[b.copy() for b in self.filter_biases],
-            proj=self.proj.copy(),
-            proj_bias=self.proj_bias.copy(),
-            embedding_trainable=self.embedding_trainable,
-        )
+        return deepcopy(self)
+
+    def trainable(self) -> list[np.ndarray]:
+        """The arrays the fit updates, in update order."""
+        head = [self.embedding] if self.embedding_trainable else []
+        return head + [*self.filters, *self.filter_biases, self.proj, self.proj_bias]
+
+    def decayed(self) -> list[np.ndarray]:
+        """The weight-decayed arrays (biases excluded), in decay order."""
+        return [self.proj, *self.filters] + ([self.embedding] if self.embedding_trainable else [])
 
     def weight_sqnorm(self) -> float:
-        """Squared L2 norm of the regularized weights (biases excluded)."""
-        total = float((self.proj ** 2).sum())
-        total += sum(float((f ** 2).sum()) for f in self.filters)
-        if self.embedding_trainable:
-            total += float((self.embedding ** 2).sum())
-        return total
-
-
-@dataclass
-class CnnGrads:
-    embedding: np.ndarray | None
-    filters: list[np.ndarray]
-    filter_biases: list[np.ndarray]
-    proj: np.ndarray
-    proj_bias: np.ndarray
+        """Squared L2 norm of the decayed weights."""
+        proj, *rest = [float((w ** 2).sum()) for w in self.decayed()]
+        n = len(self.filters)
+        # summed as (proj + filters) + embedding, so logged losses keep their bits
+        return proj + sum(rest[:n]) + sum(rest[n:])
 
 
 def init_cnn_params(config: CnnConfig, vocab_size: int, seed,
@@ -224,7 +215,7 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
     return out, cache
 
 
-def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnGrads:
+def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnParams:
     """Gradients of the cached forward pass, given the upstream d(loss)/d(out)."""
     cfg = params.config
     p = cfg.embedding_dim
@@ -260,7 +251,8 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnGra
         g_emb = np.zeros_like(params.embedding)
         np.add.at(g_emb, cache["docs"][:, :lmax].ravel(), d_d.reshape(-1, p))
         g_emb[0] = 0.0  # padding row never trains
-    return CnnGrads(g_emb, g_filters, g_biases, g_proj, g_proj_bias)
+    return replace(params, embedding=g_emb, filters=g_filters, filter_biases=g_biases,
+                   proj=g_proj, proj_bias=g_proj_bias)
 
 
 def forward_many(params: CnnParams, docs: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -288,27 +280,13 @@ def _loss_and_grads(params: CnnParams, docs, lens, targets, target_weight,
     loss = (target_weight/2) * mean ||t_i - cnn(doc_i)||^2
          + (weight_decay/2) * ||W||^2          (biases excluded)
     """
-    b = docs.shape[0]
     out, cache = _forward_batch(params, docs, lens, dropout_mask, want_cache=True)
-    diff = out - targets
-    data_loss = 0.5 * target_weight * float((diff ** 2).sum()) / b
-    grads = _backward_batch(params, cache, (target_weight / b) * diff)
-    sqnorm = params.weight_sqnorm()
-    loss = data_loss + 0.5 * weight_decay * sqnorm
+    loss = _objective(params, out, targets, target_weight, weight_decay)
+    grads = _backward_batch(params, cache, (target_weight / docs.shape[0]) * (out - targets))
     if weight_decay != 0.0:
-        grads.proj += weight_decay * params.proj
-        for wi in range(len(grads.filters)):
-            grads.filters[wi] += weight_decay * params.filters[wi]
-        if grads.embedding is not None:
-            grads.embedding += weight_decay * params.embedding
-            grads.embedding[0] = 0.0
+        for g, w in zip(grads.decayed(), params.decayed()):
+            g += weight_decay * w
     return loss, grads
-
-
-def _slots(arrays: CnnParams | CnnGrads, embedding_trainable: bool) -> list[np.ndarray]:
-    """The trainable arrays of params, or their gradients, in update order."""
-    head = [arrays.embedding] if embedding_trainable else []
-    return head + [*arrays.filters, *arrays.filter_biases, arrays.proj, arrays.proj_bias]
 
 
 def _objective(params: CnnParams, outputs, targets, target_weight, weight_decay) -> float:
@@ -358,8 +336,7 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
     current = params.copy()
     rng = np.random.default_rng(seed)
     rate = params.config.dropout_rate
-    slots = _slots(current, current.embedding_trainable)
-    caches = [np.zeros_like(s) for s in slots]
+    caches = [np.zeros_like(s) for s in current.trainable()]
 
     best, best_outputs = params, start_outputs
     best_loss = _objective(params, start_outputs, targets, target_weight, weight_decay)
@@ -380,10 +357,10 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
                     f"non-finite batch loss (epoch {epoch + 1}, batch {bi}, "
                     f"learning_rate {cfg.learning_rate})"
                 )
-            for slot, cache, g in zip(slots, caches, _slots(grads, current.embedding_trainable)):
-                cache *= cfg.decay
-                cache += (1.0 - cfg.decay) * g * g
-                slot -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.epsilon)
+            for slot, cache, g in zip(current.trainable(), caches, grads.trainable()):
+                cache *= RMSPROP_DECAY
+                cache += (1.0 - RMSPROP_DECAY) * g * g
+                slot -= cfg.learning_rate * g / (np.sqrt(cache) + RMSPROP_EPSILON)
         cur, outputs = mean_loss(current, docs, lens, targets, target_weight, weight_decay)
         if cur < best_loss:
             best, best_loss, best_outputs = current.copy(), cur, outputs

@@ -177,6 +177,40 @@ def test_compare_writes_reports(tmp_path, review_file, capsys):
     assert "mean" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad_file, message", [
+    ("vector value", "bad vector value at line 2"),
+    ("vector bytes", "line 3 is not valid UTF-8"),
+    ("review bytes", "line 3: not valid UTF-8"),
+], ids=["vector-value", "vector-bytes", "review-bytes"])
+def test_malformed_data_file_is_data_error(tmp_path, review_file, capsys, bad_file, message):
+    from biconvmf import corpus
+    out = tmp_path / "out"
+    if bad_file == "review bytes":
+        lines = review_file.read_bytes().splitlines(keepends=True)
+        bad_reviews = tmp_path / "reviews.json"
+        bad_reviews.write_bytes(b"".join(lines[:2]) + b'{"reviewerID": "\xff"}\n' + b"".join(lines[2:]))
+        argv = ["ingest", "--config", str(write_config(tmp_path, bad_reviews, out))]
+    else:
+        assert main(["ingest", "--config", str(write_config(tmp_path, review_file, out))]) == EXIT_OK
+        token = corpus.load_bundle(out / "corpus/bundle.bcmf").vocab.tokens[0].encode()
+        good = token + b" 0.1" * 8 + b"\n"
+        bad = {"vector value": token + b" x" + b" 0.1" * 7 + b"\n",
+               "vector bytes": good + b"\xff" + b" 0.1" * 8 + b"\n"}[bad_file]
+        vec_path = tmp_path / "vectors.txt"
+        vec_path.write_bytes(b"2 8\n" + bad)
+        cfg = write_config(tmp_path, review_file, out, **{"cnn": {"pretrained_path": vec_path}})
+        argv = ["train", "--config", str(cfg), "--model", "BiConvMF+"]
+    assert main(argv) == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.ini"
+    cfg.write_bytes(b"[data]\nfirst_n = 5\n[\xff]\n")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     code = main(["ingest", "--config", str(tmp_path / "nope.ini")])
     assert code == EXIT_CONFIG

@@ -115,7 +115,6 @@ class Inner:
 @dataclass
 class Log:
     losses: list
-    seconds: float = field(default=0.0, metadata=serialize.SKIP)
 
 
 @serialize.container(MAGIC, 3, "ids", "values", "inner", "spare")
@@ -131,7 +130,7 @@ class Outer:
 
 def make_outer():
     inner = Inner(Shape(2, ("x", "y")), np.eye(2), [np.zeros(1), np.ones(2)], [np.arange(3), np.arange(4)])
-    return Outer("demo", Log([1.5, 0.25], seconds=9.0), ["u1", "u2"], np.arange(6.0).reshape(2, 3), inner)
+    return Outer("demo", Log([1.5, 0.25]), ["u1", "u2"], np.arange(6.0).reshape(2, 3), inner)
 
 
 def test_declared_format_layout_and_bytewise_roundtrip(tmp_path):
