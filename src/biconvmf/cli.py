@@ -138,9 +138,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
         sections = [(s, parser.items(s)) for s in parser.sections()]
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     if parser.defaults():
         raise ConfigError(f"unknown section [{parser.default_section}] in {path}")

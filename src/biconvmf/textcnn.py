@@ -6,13 +6,15 @@ projection to the latent dimension.  Forward, loss, and gradients are written
 directly in numpy (float64) so the gradients can be checked against central
 finite differences.
 
-Window masking rule: a document whose true_len non-pad tokens are followed by
-padding is convolved over the first max(true_len, max window size) positions
-only.  Windows starting at or beyond that boundary (entirely padding) are
-excluded from pooling; windows that merely overlap the boundary see the
-all-zero pad rows.  The output therefore never depends on how much trailing
-padding a document carries, and an empty document still pools over at least
-one window per width.
+Packed layout: a document with true_len non-pad tokens is convolved over its
+first max(true_len, max window size) positions, and a batch keeps only those
+positions, one document after another.  For each width, a window exists for
+every start inside a document's convolved length and nowhere else, so no
+window reads the next document; windows that overlap the end of a short
+document see its all-zero pad rows.  Max-over-time pooling runs over each
+document's own windows, ties going to the first position.  The output
+therefore never depends on how much trailing padding a document carries, and
+an empty document still pools over at least one window per width.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from . import serialize
 CNN_MAGIC = b"BCMFCNNP"
 CNN_VERSION = 1
 
-POOL_MASK_VALUE = -2.0  # below tanh's range, so masked windows never win the max
 ENCODE_CHUNK = 128      # documents per forward pass in forward_many
 RMSPROP_DECAY = 0.9     # decay of the running mean of squared gradients
 RMSPROP_EPSILON = 1e-8  # added to its root before dividing
@@ -168,49 +169,46 @@ def _check_docs(config: CnnConfig, docs: np.ndarray, lens: np.ndarray):
 
 def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
                    dropout_mask: np.ndarray | None, want_cache: bool):
-    """Batched forward pass.
+    """Batched forward pass over the packed layout (see the module docstring).
 
     Returns (outputs, cache); cache holds what the backward pass needs and is
     None unless requested.
     """
     cfg = params.config
-    b = docs.shape[0]
-    p = cfg.embedding_dim
-    w_max = max(cfg.window_sizes)
-    eff = np.maximum(lens.astype(np.int64), w_max)      # per-doc convolved length
-    lmax = int(eff.max())
-    d = params.embedding[docs[:, :lmax]]                # (b, lmax, p)
-    pooled = np.empty((b, cfg.total_filters))
-    argmaxes = []
-    positions = []
-    windows = []
-    off = 0
+    nf = cfg.n_filters
+    eff = np.maximum(lens.astype(np.int64), max(cfg.window_sizes))  # convolved lengths
+    tokens = docs[np.arange(docs.shape[1]) < eff[:, None]]          # documents back to back
+    doc_start = np.cumsum(eff) - eff
+    e = params.embedding[tokens]                                    # (n_tokens, p)
+    pooled = np.empty((docs.shape[0], cfg.total_filters))
+    argmaxes, starts, windows = [], [], []
     for wi, w in enumerate(cfg.window_sizes):
-        n_pos = lmax - w + 1
-        # im2col: row (b, t) holds the window d[b, t:t+w] flattened, so the
+        n_win = eff - w + 1
+        first = np.cumsum(n_win) - n_win                # each document's first window row
+        n = int(n_win.sum())
+        start = np.arange(n) + np.repeat(doc_start - first, n_win)  # window -> first token
+        # im2col: row r holds the window e[start[r]:start[r]+w] flattened, so the
         # whole convolution is one GEMM against the flattened filter bank
-        x = np.concatenate([d[:, a:a + n_pos, :] for a in range(w)], axis=2)
-        x = x.reshape(b * n_pos, w * p)
-        pre = x @ params.filters[wi].reshape(cfg.n_filters, w * p).T
-        pre += params.filter_biases[wi]
-        act = np.tanh(pre).reshape(b, n_pos, cfg.n_filters)
-        valid = np.arange(n_pos)[None, :] < (eff - w + 1)[:, None]
-        act = np.where(valid[:, :, None], act, POOL_MASK_VALUE)
-        t_star = act.argmax(axis=1)                     # (b, n_filters)
-        pooled[:, off:off + cfg.n_filters] = np.take_along_axis(
-            act, t_star[:, None, :], axis=1)[:, 0, :]
-        argmaxes.append(t_star)
-        positions.append(n_pos)
-        windows.append(x if want_cache else None)
-        off += cfg.n_filters
+        x = e[start[:, None] + np.arange(w)].reshape(n, -1)
+        act = np.tanh(x @ params.filters[wi].reshape(nf, -1).T + params.filter_biases[wi])
+        top = np.maximum.reduceat(act, first, axis=0)
+        pooled[:, wi * nf:(wi + 1) * nf] = top
+        if want_cache:
+            # first window reaching each max, as argmax picks it; a NaN max
+            # (a diverged fit) picks the document's first window
+            hit = ~(act < np.repeat(top, n_win, axis=0))
+            argmaxes.append(np.minimum.reduceat(
+                np.where(hit, np.arange(n)[:, None], n), first, axis=0))
+            starts.append(start)
+            windows.append(x)
     dropped = pooled if dropout_mask is None else pooled * dropout_mask
     out = dropped @ params.proj + params.proj_bias
     cache = None
     if want_cache:
         cache = {
-            "lmax": lmax, "pooled": pooled, "dropped": dropped,
-            "argmaxes": argmaxes, "positions": positions, "windows": windows,
-            "docs": docs, "dropout_mask": dropout_mask,
+            "tokens": tokens, "pooled": pooled, "dropped": dropped,
+            "argmaxes": argmaxes, "starts": starts, "windows": windows,
+            "dropout_mask": dropout_mask,
         }
     return out, cache
 
@@ -218,57 +216,47 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
 def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnParams:
     """Gradients of the cached forward pass, given the upstream d(loss)/d(out)."""
     cfg = params.config
-    p = cfg.embedding_dim
-    lmax = cache["lmax"]
-    b = cache["docs"].shape[0]
+    nf = cfg.n_filters
     g_proj = cache["dropped"].T @ d_out
     g_proj_bias = d_out.sum(axis=0)
     d_pooled = d_out @ params.proj.T
     if cache["dropout_mask"] is not None:
         d_pooled = d_pooled * cache["dropout_mask"]
-    d_d = np.zeros((b, lmax, p))
+    d_pooled *= 1.0 - cache["pooled"] ** 2              # through tanh at each max
+    tokens = cache["tokens"]
+    d_e = np.zeros((len(tokens), cfg.embedding_dim))   # per packed token
     g_filters, g_biases = [], []
-    off = 0
     for wi, w in enumerate(cfg.window_sizes):
-        n_pos = cache["positions"][wi]
-        t_star = cache["argmaxes"][wi]
-        x = cache["windows"][wi]                        # (b*n_pos, w*p) im2col block
-        pooled_w = cache["pooled"][:, off:off + cfg.n_filters]
-        d_pre_vals = d_pooled[:, off:off + cfg.n_filters] * (1.0 - pooled_w ** 2)
-        # Dense (b, n_pos, n_filters) gradient that is zero except at each
-        # filter's argmax position; turns the scatter into plain GEMMs.
-        d_pre = np.zeros((b, n_pos, cfg.n_filters))
-        np.put_along_axis(d_pre, t_star[:, None, :], d_pre_vals[:, None, :], axis=1)
-        d_pre = d_pre.reshape(b * n_pos, cfg.n_filters)
-        g_filters.append((d_pre.T @ x).reshape(cfg.n_filters, w, p))
+        start = cache["starts"][wi]
+        x = cache["windows"][wi]                        # (windows, w*p) im2col block
+        d_pre_vals = d_pooled[:, wi * nf:(wi + 1) * nf]
+        # Dense (windows, n_filters) gradient that is zero except at each
+        # filter's argmax window; turns the scatter into plain GEMMs.
+        d_pre = np.zeros((len(start), nf))
+        d_pre[cache["argmaxes"][wi], np.arange(nf)] = d_pre_vals
+        g_filters.append((d_pre.T @ x).reshape(nf, w, -1))
         g_biases.append(d_pre_vals.sum(axis=0))
-        d_x = (d_pre @ params.filters[wi].reshape(cfg.n_filters, w * p)).reshape(b, n_pos, w, p)
-        for a in range(w):
-            d_d[:, a:a + n_pos, :] += d_x[:, :, a, :]
-        off += cfg.n_filters
+        d_x = (d_pre @ params.filters[wi].reshape(nf, -1)).reshape(len(start), w, -1)
+        for a in range(w):  # window starts are distinct, so each offset is one scatter
+            d_e[start + a] += d_x[:, a]
     g_emb = None
     if params.embedding_trainable:
         g_emb = np.zeros_like(params.embedding)
-        np.add.at(g_emb, cache["docs"][:, :lmax].ravel(), d_d.reshape(-1, p))
+        np.add.at(g_emb, tokens, d_e)
         g_emb[0] = 0.0  # padding row never trains
     return replace(params, embedding=g_emb, filters=g_filters, filter_biases=g_biases,
                    proj=g_proj, proj_bias=g_proj_bias)
 
 
 def forward_many(params: CnnParams, docs: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Deterministic encoding of a document matrix, processed in chunks.
-
-    Documents are grouped by length so that short-document chunks are not
-    convolved at the longest document's width; outputs come back in input
-    order.
-    """
+    """Deterministic encoding of a document matrix, ENCODE_CHUNK documents per
+    pass; packing makes a chunk's cost follow its documents' lengths."""
     docs = np.asarray(docs)
     lens = np.asarray(lens)
     _check_docs(params.config, docs, lens)
-    order = np.argsort(lens, kind="stable")
     out = np.empty((docs.shape[0], params.config.output_dim))
     for start in range(0, docs.shape[0], ENCODE_CHUNK):
-        sel = order[start:start + ENCODE_CHUNK]
+        sel = slice(start, start + ENCODE_CHUNK)
         out[sel], _ = _forward_batch(params, docs[sel], lens[sel], None, want_cache=False)
     return out
 

@@ -208,7 +208,8 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "config.ini"
     cfg.write_bytes(b"[data]\nfirst_n = 5\n[\xff]\n")
     assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and str(cfg) in err
 
 
 def test_missing_config_is_config_error(tmp_path, capsys):

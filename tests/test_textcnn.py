@@ -177,6 +177,52 @@ def test_gradient_with_dropout_mask_matches_finite_differences():
     assert err < 1e-4
 
 
+def mixed_batch():
+    """A packed batch to check across documents: lengths 1, max_len, 0, 2 (below
+    the largest window), 5 and 3, two window widths, a dropout mask and a
+    trainable embedding.  Returns _loss_and_grads' arguments."""
+    cfg = tiny_config(max_len=7, embedding_dim=3, output_dim=2, window_sizes=(2, 3), n_filters=2)
+    params = textcnn.init_cnn_params(cfg, 6, seed=101)
+    assert params.embedding_trainable
+    rng = np.random.default_rng(102)
+    lens = np.array([1, 7, 0, 2, 5, 3])
+    docs = np.zeros((len(lens), cfg.max_len), dtype=np.int32)
+    for i, L in enumerate(lens):
+        docs[i, :L] = rng.integers(1, 7, L)
+    targets = rng.normal(0, 1, (len(lens), cfg.output_dim))
+    mask = (rng.random((len(lens), cfg.total_filters)) >= 0.3) / 0.7
+    return params, docs, lens, targets, 1.5, 0.01, mask
+
+
+def test_multi_document_gradient_matches_finite_differences():
+    assert gradcheck.max_relative_error(*mixed_batch()) < 1e-4
+
+
+def test_permuting_the_batch_permutes_outputs_and_keeps_gradients():
+    params, docs, lens, targets, weight, decay, mask = mixed_batch()
+    perm = np.array([3, 0, 5, 2, 1, 4])
+    permuted = (params, docs[perm], lens[perm], targets[perm], weight, decay, mask[perm])
+    out, _ = textcnn._forward_batch(params, docs, lens, mask, want_cache=False)
+    out_p, _ = textcnn._forward_batch(params, docs[perm], lens[perm], mask[perm], want_cache=False)
+    np.testing.assert_allclose(out_p, out[perm], rtol=0, atol=1e-15)
+    loss, grads = textcnn._loss_and_grads(params, docs, lens, targets, weight, decay, mask)
+    loss_p, grads_p = textcnn._loss_and_grads(*permuted)
+    assert loss_p == pytest.approx(loss, rel=0, abs=1e-15)
+    for g, g_p in zip(grads.trainable(), grads_p.trainable()):
+        np.testing.assert_allclose(g_p, g, rtol=0, atol=1e-15)
+
+
+def test_all_padding_document_pools_its_first_window():
+    # every window of an empty document ties, so each filter's max, and with
+    # it the whole filter gradient, goes to the document's first window
+    params, docs, lens, *_ = mixed_batch()
+    _, cache = textcnn._forward_batch(params, docs, lens, None, want_cache=True)
+    i = int(np.flatnonzero(lens == 0)[0])
+    first_token = np.maximum(lens, max(params.config.window_sizes))[:i].sum()
+    for starts, argmax in zip(cache["starts"], cache["argmaxes"]):
+        assert (starts[argmax[i]] == first_token).all()
+
+
 # ---------------------------------------------------------------- fitting
 
 def fit(params, docs, lens, targets, *args, **kwargs):
