@@ -93,6 +93,17 @@ def _as_list(raw: str) -> list[str]:
     return [x.strip() for x in raw.split(",") if x.strip()]
 
 
+def _as_models(raw: str) -> list[str]:
+    """Distinct model kinds in their canonical spelling, in the given order."""
+    kinds = []
+    for name in _as_list(raw):
+        kind = factorize.canonical_model_kind(name)
+        if kind in kinds:
+            raise ValueError(f"model kind {kind!r} is listed twice")
+        kinds.append(kind)
+    return kinds
+
+
 def _as_bool(raw: str) -> bool:
     """configparser's boolean words, in any case; anything else is an error."""
     try:
@@ -108,7 +119,7 @@ CONFIG_KEYS = {
     ("experiment", "base_seed"): ("base_seed", int),
     ("experiment", "test_fraction"): ("test_fraction", float),
     ("experiment", "n_runs"): ("n_runs", int),
-    ("experiment", "models"): ("models", lambda raw: [factorize.canonical_model_kind(m) for m in _as_list(raw)]),
+    ("experiment", "models"): ("models", _as_models),
     ("corpus", "max_vocab"): ("max_vocab", int),
     ("corpus", "min_doc_freq"): ("min_doc_freq", int),
     ("corpus", "max_len"): ("max_len", int),

@@ -12,14 +12,32 @@ positions, one document after another.  For each width, a window exists for
 every start inside a document's convolved length and nowhere else, so no
 window reads the next document; windows that overlap the end of a short
 document see its all-zero pad rows.  Max-over-time pooling runs over each
-document's own windows, ties going to the first position.  The output
-therefore never depends on how much trailing padding a document carries, and
-an empty document still pools over at least one window per width.
+document's own windows.  The output therefore never depends on how much
+trailing padding a document carries, and an empty document still pools over
+at least one window per width.
+
+Pooling order: the raw convolution (no bias) is max-pooled first, and the
+bias and tanh are applied to the (batch, n_filters) maxima only; both are
+monotone, so this equals pooling tanh(conv + bias).  Each max's window (the
+one its gradient flows to) is the first window reaching the raw max, so ties
+go to the first position, and a NaN max (a diverged fit) goes to the
+document's first window.
+
+Allocator: every batch frees multi-megabyte temporaries (im2col blocks,
+convolution outputs, backward buffers) and the next allocates them again.
+glibc would hand the freed heap top back to the kernel and fault it in,
+zeroed, on the next batch, so importing this module sets glibc's M_TOP_PAD
+to keep HEAP_TOP_PAD bytes at the heap top.  Setting it also freezes glibc's
+otherwise adaptive mmap threshold, so that threshold is pinned at its
+adaptive ceiling, MMAP_THRESHOLD; larger blocks are mmapped as before.
+Where the C library has no mallopt, or refuses these values, nothing changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 
@@ -33,6 +51,27 @@ CNN_VERSION = 1
 ENCODE_CHUNK = 128      # documents per forward pass in forward_many
 RMSPROP_DECAY = 0.9     # decay of the running mean of squared gradients
 RMSPROP_EPSILON = 1e-8  # added to its root before dividing
+
+HEAP_TOP_PAD = 64 << 20    # bytes glibc keeps at the heap top (module docstring)
+MMAP_THRESHOLD = 32 << 20  # glibc's adaptive ceiling on 64-bit hosts
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3  # mallopt parameters, from glibc's malloc.h
+
+
+def _keep_heap_top() -> bool:
+    """Set the allocator as the module docstring says; False where there is
+    no mallopt or it refuses a value."""
+    if os.name != "posix":
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # the loaded C library
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+            and mallopt(_M_TOP_PAD, HEAP_TOP_PAD) == 1)
+
+
+HEAP_TOP_KEPT = _keep_heap_top()
 
 
 class TrainingDivergedError(RuntimeError):
@@ -190,15 +229,18 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
         # im2col: row r holds the window e[start[r]:start[r]+w] flattened, so the
         # whole convolution is one GEMM against the flattened filter bank
         x = e[start[:, None] + np.arange(w)].reshape(n, -1)
-        act = np.tanh(x @ params.filters[wi].reshape(nf, -1).T + params.filter_biases[wi])
-        top = np.maximum.reduceat(act, first, axis=0)
-        pooled[:, wi * nf:(wi + 1) * nf] = top
+        # (n_filters, windows) view of a window-major GEMM: filters @ x.T is as
+        # fast but rounds differently, moving fitted weights by up to ~1e-12
+        conv = (x @ params.filters[wi].reshape(nf, -1).T).T
+        top = np.maximum.reduceat(conv, first, axis=1)           # (n_filters, batch)
+        pooled[:, wi * nf:(wi + 1) * nf] = np.tanh(top.T + params.filter_biases[wi])
         if want_cache:
-            # first window reaching each max, as argmax picks it; a NaN max
-            # (a diverged fit) picks the document's first window
-            hit = ~(act < np.repeat(top, n_win, axis=0))
-            argmaxes.append(np.minimum.reduceat(
-                np.where(hit, np.arange(n)[:, None], n), first, axis=0))
+            # Each (filter, document)'s first window reaching its max is the
+            # first hit at or after the document's first window in the
+            # filter's row; a NaN max makes every window a hit.
+            hits = np.flatnonzero(~(conv < np.repeat(top, n_win, axis=1)))
+            row_starts = np.arange(nf)[:, None] * n + first
+            argmaxes.append((hits[np.searchsorted(hits, row_starts)] % n).T)
             starts.append(start)
             windows.append(x)
     dropped = pooled if dropout_mask is None else pooled * dropout_mask
@@ -224,7 +266,8 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
         d_pooled = d_pooled * cache["dropout_mask"]
     d_pooled *= 1.0 - cache["pooled"] ** 2              # through tanh at each max
     tokens = cache["tokens"]
-    d_e = np.zeros((len(tokens), cfg.embedding_dim))   # per packed token
+    trainable = params.embedding_trainable
+    d_e = np.zeros((len(tokens), cfg.embedding_dim)) if trainable else None  # per packed token
     g_filters, g_biases = [], []
     for wi, w in enumerate(cfg.window_sizes):
         start = cache["starts"][wi]
@@ -236,11 +279,12 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
         d_pre[cache["argmaxes"][wi], np.arange(nf)] = d_pre_vals
         g_filters.append((d_pre.T @ x).reshape(nf, w, -1))
         g_biases.append(d_pre_vals.sum(axis=0))
-        d_x = (d_pre @ params.filters[wi].reshape(nf, -1)).reshape(len(start), w, -1)
-        for a in range(w):  # window starts are distinct, so each offset is one scatter
-            d_e[start + a] += d_x[:, a]
+        if trainable:
+            d_x = (d_pre @ params.filters[wi].reshape(nf, -1)).reshape(len(start), w, -1)
+            for a in range(w):  # window starts are distinct, so each offset is one scatter
+                d_e[start + a] += d_x[:, a]
     g_emb = None
-    if params.embedding_trainable:
+    if trainable:
         g_emb = np.zeros_like(params.embedding)
         np.add.at(g_emb, tokens, d_e)
         g_emb[0] = 0.0  # padding row never trains

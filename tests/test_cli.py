@@ -231,6 +231,13 @@ def test_unknown_model_rejected(tmp_path, review_file, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
+def test_duplicate_model_kind_is_config_error(tmp_path, review_file, capsys):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out",
+                       experiment={"models": "PMF, ConvMF, pmf"})
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "'PMF' is listed twice" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config(tmp_path, review_file):
     cfg = write_config(tmp_path, review_file, tmp_path / "outA")
     assert main(["ingest", "--config", str(cfg)]) == EXIT_OK

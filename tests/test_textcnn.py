@@ -223,6 +223,87 @@ def test_all_padding_document_pools_its_first_window():
         assert (starts[argmax[i]] == first_token).all()
 
 
+def reference_pooling(params, docs, lens):
+    """Per-document loop in the plain order, tanh(conv + bias) then max:
+    (pooled, argmaxes), argmaxes per width as (batch, n_filters) window
+    offsets within each document."""
+    cfg = params.config
+    pooled, argmaxes = [], []
+    for wi, w in enumerate(cfg.window_sizes):
+        filters = params.filters[wi].reshape(cfg.n_filters, -1)
+        cols, offsets = [], []
+        for doc, length in zip(docs, lens):
+            eff = max(length, max(cfg.window_sizes))
+            x = np.stack([params.embedding[doc[s:s + w]].ravel() for s in range(eff - w + 1)])
+            act = np.tanh(x @ filters.T + params.filter_biases[wi])
+            cols.append(act.max(axis=0))
+            offsets.append(np.argmax(act, axis=0))
+        pooled.append(np.array(cols))
+        argmaxes.append(np.array(offsets))
+    return np.hstack(pooled), argmaxes
+
+
+def pooling_batch(dyadic):
+    """Repeated n-grams, empty documents and documents shorter than the
+    largest window.  With dyadic values every convolution is exact in any
+    summation order, so the packed and per-document passes agree bitwise and
+    many windows tie."""
+    cfg = tiny_config(max_len=9, embedding_dim=3, window_sizes=(2, 4), n_filters=4)
+    params = textcnn.init_cnn_params(cfg, 6, seed=111)
+    if dyadic:
+        rng = np.random.default_rng(112)
+        params.embedding[1:] = rng.integers(-3, 4, params.embedding[1:].shape) / 8
+        for f, b in zip(params.filters, params.filter_biases):
+            f[:] = rng.integers(-2, 3, f.shape) / 8
+            b[:] = rng.integers(-2, 3, b.shape) / 8
+    rows = [[], [1, 2, 1, 2, 1, 2, 1, 2], [3], [4, 4, 4, 4, 4, 4], [5, 6], [],
+            [2, 5, 2, 5, 2], [1, 2, 3, 4, 5, 6, 1, 2, 3], [6, 6, 6]]
+    docs = np.zeros((len(rows), cfg.max_len), dtype=np.int32)
+    for i, row in enumerate(rows):
+        docs[i, :len(row)] = row
+    return params, docs, np.array([len(row) for row in rows])
+
+
+@pytest.mark.parametrize("dyadic", [True, False])
+def test_pooling_and_argmax_match_per_document_loop(dyadic):
+    params, docs, lens = pooling_batch(dyadic)
+    _, cache = textcnn._forward_batch(params, docs, lens, None, want_cache=True)
+    pooled, argmaxes = reference_pooling(params, docs, lens)
+    if dyadic:
+        np.testing.assert_array_equal(cache["pooled"], pooled)
+    else:
+        np.testing.assert_allclose(cache["pooled"], pooled, rtol=0, atol=1e-15)
+    eff = np.maximum(lens, max(params.config.window_sizes))
+    for w, got, want in zip(params.config.window_sizes, cache["argmaxes"], argmaxes):
+        n_win = eff - w + 1
+        first = np.cumsum(n_win) - n_win
+        np.testing.assert_array_equal(got - first[:, None], want)
+
+
+def test_nan_filter_is_a_divergence_not_an_index_error():
+    # the last filter of the last width: a max with no hit would index past
+    # the end of the hits
+    params, docs, lens, targets, weight, decay, mask = mixed_batch()
+    params.filters[-1][-1, 0, 0] = np.nan
+    _, cache = textcnn._forward_batch(params, docs, lens, mask, want_cache=True)
+    n_win = np.maximum(lens, max(params.config.window_sizes)) - params.config.window_sizes[-1] + 1
+    assert np.array_equal(cache["argmaxes"][-1][:, -1], np.cumsum(n_win) - n_win)
+    loss, _ = textcnn._loss_and_grads(params, docs, lens, targets, weight, decay, mask)
+    assert not np.isfinite(loss)
+    with pytest.raises(TrainingDivergedError):
+        fit(params, docs, lens, targets, weight, decay, OptimizerConfig(batch_size=4), seed=5)
+
+
+def test_frozen_embedding_leaves_the_other_gradients_bitwise_equal():
+    params, *batch = mixed_batch()
+    _, trained = textcnn._loss_and_grads(params, *batch)
+    _, frozen = textcnn._loss_and_grads(replace(params, embedding_trainable=False), *batch)
+    assert frozen.embedding is None
+    assert trained.embedding is not None
+    for g, g_frozen in zip(trained.trainable()[1:], frozen.trainable()):
+        assert np.array_equal(g, g_frozen)
+
+
 # ---------------------------------------------------------------- fitting
 
 def fit(params, docs, lens, targets, *args, **kwargs):
@@ -316,6 +397,22 @@ def test_fit_aborts_on_divergence():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError, match="batch"):
             fit(params, docs, lens, targets, 2.0, 0.0, seed=73)
+
+
+@pytest.mark.skipif(not textcnn.HEAP_TOP_KEPT, reason="the C library has no mallopt")
+def test_repeated_fit_reuses_its_scratch_memory():
+    # a fit frees and reallocates megabytes of temporaries every batch; with
+    # the heap top kept, a second identical fit faults in (almost) no pages
+    resource = pytest.importorskip("resource")
+    cfg = CnnConfig(max_len=64, embedding_dim=32, window_sizes=(3, 4, 5), n_filters=64)
+    params = textcnn.init_cnn_params(cfg, 2000, seed=121)
+    docs, lens = random_docs(cfg, 512, 2000, seed=122)
+    targets = np.random.default_rng(123).normal(0, 1, (512, cfg.output_dim))
+    opt = OptimizerConfig(epochs=2)
+    fit(params, docs, lens, targets, 1.0, 1e-4, opt, seed=124)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fit(params, docs, lens, targets, 1.0, 1e-4, opt, seed=124)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def test_frozen_embedding_does_not_move():
