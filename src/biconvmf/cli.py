@@ -64,7 +64,7 @@ class RunConfig:
     weight_decay: float = 1e-4
     out_dir: Path = Path("runs")
 
-    def hyper_for(self, model_kind: str, seed: int | None = None) -> factorize.Hyperparams:
+    def hyper_for(self, model_kind: str) -> factorize.Hyperparams:
         kind = factorize.canonical_model_kind(model_kind)
         return factorize.Hyperparams.for_model(
             kind, n_factors=self.n_factors, **self.lambdas.get(kind, {}),
@@ -72,7 +72,7 @@ class RunConfig:
             outer_iters=self.outer_iters,
             early_stop_rel_tol=self.early_stop_rel_tol,
             early_stop_patience=self.early_stop_patience,
-            seed=self.base_seed if seed is None else seed,
+            seed=self.base_seed,
         )
 
     def cnn_config(self) -> textcnn.CnnConfig:
@@ -101,6 +101,8 @@ def _as_models(raw: str) -> list[str]:
         if kind in kinds:
             raise ValueError(f"model kind {kind!r} is listed twice")
         kinds.append(kind)
+    if not kinds:
+        raise ValueError("no model kind given")
     return kinds
 
 

@@ -7,6 +7,13 @@ optionally a pretrained embedding table.  Review sets are built from the
 training split only, so no test text ever reaches the vocabulary or the
 documents.
 
+Each training review is tokenized once: its tokens extend both its user's
+and its item's token list, and the vocabulary and the documents are built
+from those lists.  No token spans a review boundary, and lowercasing maps
+each character on its own (Greek final sigma aside, which is not in
+[a-z0-9]), so a side's list is the token sequence of its reviews joined
+with spaces.
+
 Tokenization is deliberately simple and reproducible: lowercase, keep
 maximal [a-z0-9] runs, no stemming and no stopword list.
 """
@@ -16,6 +23,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,20 +139,21 @@ def take_first_n(records, n: int) -> tuple[list[ReviewRecord], DatasetStats]:
     return head, DatasetStats(len(users), len(items), len(head), density)
 
 
-def build_review_sets(records) -> tuple[dict[str, str], dict[str, str]]:
-    """Concatenate review text per user and per item, in record order.
+def build_review_sets(records) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Each user's and each item's review tokens, in record order.
 
-    The caller must pass training-split records only; that is what keeps
-    test text out of the vocabulary and documents.
+    Every review is tokenized once and its tokens, interned so that both
+    lists share one string per distinct token, extend its user's and its
+    item's list.  The caller must pass training-split records only; that is
+    what keeps test text out of the vocabulary and documents.
     """
-    user_texts: dict[str, list[str]] = {}
-    item_texts: dict[str, list[str]] = {}
+    user_tokens: dict[str, list[str]] = {}
+    item_tokens: dict[str, list[str]] = {}
     for rec in records:
-        user_texts.setdefault(rec.user_id, []).append(rec.review_text)
-        item_texts.setdefault(rec.item_id, []).append(rec.review_text)
-    user_sets = {uid: " ".join(parts) for uid, parts in user_texts.items()}
-    item_sets = {iid: " ".join(parts) for iid, parts in item_texts.items()}
-    return user_sets, item_sets
+        toks = list(map(sys.intern, tokenize(rec.review_text)))
+        user_tokens.setdefault(rec.user_id, []).extend(toks)
+        item_tokens.setdefault(rec.item_id, []).extend(toks)
+    return user_tokens, item_tokens
 
 
 class Vocabulary:
@@ -157,10 +167,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def lookup(self, token: str):
-        """Index of token, or None when out of vocabulary."""
-        return self._index.get(token)
-
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
@@ -172,50 +178,32 @@ def build_vocabulary(docs, max_vocab: int = DEFAULT_MAX_VOCAB,
                      min_doc_freq: int = DEFAULT_MIN_DOC_FREQ) -> Vocabulary:
     """Rank tokens by total frequency (ties lexicographic) and truncate.
 
+    docs are token lists (a str would be counted character by character).
     Tokens appearing in fewer than min_doc_freq documents are dropped before
     ranking.  Deterministic for a given document sequence.
     """
     if max_vocab < 1:
         raise ValueError(f"max_vocab must be >= 1, got {max_vocab}")
-    total: dict[str, int] = {}
-    doc_freq: dict[str, int] = {}
-    for doc in docs:
-        toks = tokenize(doc)
-        for t in toks:
-            total[t] = total.get(t, 0) + 1
-        for t in set(toks):
-            doc_freq[t] = doc_freq.get(t, 0) + 1
+    total: Counter[str] = Counter()
+    doc_freq: Counter[str] = Counter()
+    for toks in docs:
+        total.update(toks)
+        doc_freq.update(set(toks))
     eligible = [t for t in total if doc_freq[t] >= min_doc_freq]
     eligible.sort(key=lambda t: (-total[t], t))
-    return Vocabulary(tuple(eligible[:max_vocab]))
+    return Vocabulary(eligible[:max_vocab])
 
 
-@dataclass(frozen=True, eq=False)
-class TokenDocument:
-    """Fixed-length token-index sequence, right-padded with index 0."""
+def tensorize(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
+    """Vocabulary indices of the first max_len in-vocabulary tokens.
 
-    indices: np.ndarray  # (max_len,) int32
-    true_len: int
-
-
-def tensorize(text: str, vocab: Vocabulary, max_len: int) -> TokenDocument:
-    """Map text to a fixed-length index sequence.
-
-    Out-of-vocabulary tokens are dropped (they neither occupy a position nor
-    count toward true_len); anything past max_len kept tokens is truncated.
+    Out-of-vocabulary tokens are dropped: they neither occupy a position
+    nor count toward max_len.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = []
-    for tok in tokenize(text):
-        idx = vocab.lookup(tok)
-        if idx is not None:
-            ids.append(idx)
-            if len(ids) == max_len:
-                break
-    out = np.zeros(max_len, dtype=np.int32)
-    out[:len(ids)] = ids
-    return TokenDocument(out, len(ids))
+    # indices start at 1, so filter(None, ...) drops exactly the misses
+    return list(itertools.islice(filter(None, map(vocab._index.get, tokens)), max_len))
 
 
 def load_pretrained_embeddings(path, vocab: Vocabulary, embedding_dim: int,
@@ -341,46 +329,42 @@ def build_bundle(records: list[ReviewRecord], train_idx, test_idx,
 
     user_pos: dict[str, int] = {}
     item_pos: dict[str, int] = {}
-    for rec in records:
-        user_pos.setdefault(rec.user_id, len(user_pos))
-        item_pos.setdefault(rec.item_id, len(item_pos))
+    rec_user = np.empty(n, dtype=np.int32)
+    rec_item = np.empty(n, dtype=np.int32)
+    rec_rating = np.empty(n, dtype=np.float64)
+    for k, rec in enumerate(records):
+        rec_user[k] = user_pos.setdefault(rec.user_id, len(user_pos))
+        rec_item[k] = item_pos.setdefault(rec.item_id, len(item_pos))
+        rec_rating[k] = rec.rating
     user_ids = list(user_pos)
     item_ids = list(item_pos)
 
-    train_records = [records[i] for i in train_idx]
-    user_sets, item_sets = build_review_sets(train_records)
+    user_tokens, item_tokens = build_review_sets(records[i] for i in train_idx)
     vocab = build_vocabulary(
-        itertools.chain(user_sets.values(), item_sets.values()),
+        itertools.chain(user_tokens.values(), item_tokens.values()),
         max_vocab=max_vocab, min_doc_freq=min_doc_freq,
     )
 
-    def doc_block(ids, sets):
+    def doc_block(ids, token_lists):
         docs = np.zeros((len(ids), max_len), dtype=np.int32)
         lens = np.zeros(len(ids), dtype=np.int32)
         for row, key in enumerate(ids):
-            doc = tensorize(sets.get(key, ""), vocab, max_len)
-            docs[row] = doc.indices
-            lens[row] = doc.true_len
+            kept = tensorize(token_lists.get(key, ()), vocab, max_len)
+            docs[row, :len(kept)] = kept
+            lens[row] = len(kept)
         return docs, lens
 
-    user_docs, user_doc_lens = doc_block(user_ids, user_sets)
-    item_docs, item_doc_lens = doc_block(item_ids, item_sets)
-
-    def triplets(idx):
-        u = np.array([user_pos[records[i].user_id] for i in idx], dtype=np.int32)
-        v = np.array([item_pos[records[i].item_id] for i in idx], dtype=np.int32)
-        r = np.array([records[i].rating for i in idx], dtype=np.float64)
-        return u, v, r
-
-    tr_u, tr_i, tr_r = triplets(train_idx)
-    te_u, te_i, te_r = triplets(test_idx)
-    _, stats = take_first_n(records, n)
+    user_docs, user_doc_lens = doc_block(user_ids, user_tokens)
+    item_docs, item_doc_lens = doc_block(item_ids, item_tokens)
+    stats = DatasetStats(len(user_ids), len(item_ids), n, n / (len(user_ids) * len(item_ids)))
     return CorpusBundle(
         vocab=vocab, max_len=max_len, user_ids=user_ids, item_ids=item_ids,
         user_docs=user_docs, user_doc_lens=user_doc_lens,
         item_docs=item_docs, item_doc_lens=item_doc_lens,
-        train_user_idx=tr_u, train_item_idx=tr_i, train_ratings=tr_r,
-        test_user_idx=te_u, test_item_idx=te_i, test_ratings=te_r,
+        train_user_idx=rec_user[train_idx], train_item_idx=rec_item[train_idx],
+        train_ratings=rec_rating[train_idx],
+        test_user_idx=rec_user[test_idx], test_item_idx=rec_item[test_idx],
+        test_ratings=rec_rating[test_idx],
         stats=stats, test_fraction=test_fraction, split_seed=split_seed,
     )
 

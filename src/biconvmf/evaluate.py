@@ -33,13 +33,15 @@ def split(n_ratings: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Test size is round(n * test_fraction), so both sides are within one of
     the exact fractions.  Returns sorted index arrays (train, test); an
-    empty training side is an error.
+    empty side is an error.
     """
     if n_ratings < 1:
         raise ValueError("cannot split an empty rating set")
     n_test = int(round(n_ratings * spec.test_fraction))
     if n_test >= n_ratings:
         raise ValueError(f"split leaves no training data (n={n_ratings}, test_fraction={spec.test_fraction})")
+    if n_test == 0:
+        raise ValueError(f"split leaves no test data (n={n_ratings}, test_fraction={spec.test_fraction})")
     perm = np.random.default_rng(spec.seed).permutation(n_ratings)
     test = np.sort(perm[:n_test])
     train = np.sort(perm[n_test:])

@@ -67,6 +67,13 @@ def test_ingest_respects_first_n(tmp_path, review_file):
     assert stats["n_ratings"] == 50
 
 
+def test_ingest_refuses_a_split_with_no_test_ratings(tmp_path, review_file, capsys):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out", data={"first_n": "2"})
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "no test data (n=2, test_fraction=0.2)" in capsys.readouterr().err
+    assert not (tmp_path / "out/corpus").exists()
+
+
 def test_train_missing_bundle_names_ingest(tmp_path, review_file, capsys):
     cfg = write_config(tmp_path, review_file, tmp_path / "out")
     code = main(["train", "--config", str(cfg), "--model", "PMF"])
@@ -126,7 +133,7 @@ def test_biconvmf_plus_trains_with_word_vector_file(tmp_path, review_file):
     assert model.cnn_user.embedding_trainable is False
     # the file's first token really landed in the embedding table
     first = np.loadtxt(str(vec_path), skiprows=1, usecols=range(1, 9), max_rows=1)
-    np.testing.assert_allclose(model.cnn_user.embedding[bundle.vocab.lookup(tokens[0])],
+    np.testing.assert_allclose(model.cnn_user.embedding[bundle.vocab.tokens.index(tokens[0]) + 1],
                                first, atol=1e-4)
 
 
@@ -236,6 +243,12 @@ def test_duplicate_model_kind_is_config_error(tmp_path, review_file, capsys):
                        experiment={"models": "PMF, ConvMF, pmf"})
     assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
     assert "'PMF' is listed twice" in capsys.readouterr().err
+
+
+def test_model_list_without_a_kind_is_config_error(tmp_path, review_file, capsys):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out", experiment={"models": " , "})
+    assert main(["compare", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "no model kind given" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(tmp_path, review_file):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biconvmf import corpus, serialize
@@ -105,45 +105,58 @@ def test_review_set_concatenates_in_order():
         ReviewRecord("A", "X", 4.0, "good"),
         ReviewRecord("A", "Y", 2.0, "bad"),
     ])
-    assert users["A"] == "good bad"
+    assert users["A"] == ["good", "bad"]
 
 
 def test_review_set_single_empty_review():
     _, items = build_review_sets([ReviewRecord("A", "B", 3.0, "")])
-    assert items["B"] == ""
+    assert items["B"] == []
 
 
 def test_review_sets_two_users_two_items():
     # hand enumerated: 2 users x 2 shared items, 4 records
     recs = [
-        ReviewRecord("A", "X", 4.0, "r1"), ReviewRecord("A", "Y", 4.0, "r2"),
-        ReviewRecord("B", "X", 4.0, "r3"), ReviewRecord("B", "Y", 4.0, "r4"),
+        ReviewRecord("A", "X", 4.0, "r1"), ReviewRecord("A", "Y", 4.0, "R2!"),
+        ReviewRecord("B", "X", 4.0, "r3 x"), ReviewRecord("B", "Y", 4.0, "r4"),
     ]
     users, items = build_review_sets(recs)
-    assert users == {"A": "r1 r2", "B": "r3 r4"}
-    assert items == {"X": "r1 r3", "Y": "r2 r4"}
+    assert users == {"A": ["r1", "r2"], "B": ["r3", "x", "r4"]}
+    assert items == {"X": ["r1", "r3", "x"], "Y": ["r2", "r4"]}
+
+
+def test_review_sets_share_one_string_per_token():
+    users, items = build_review_sets([
+        ReviewRecord("A", "X", 4.0, "space opera"),
+        ReviewRecord("B", "Y", 4.0, "more SPACE"),
+    ])
+    assert users["A"][0] is items["X"][0] is users["B"][1] is items["Y"][1]
 
 
 # ---------------------------------------------------------------- vocabulary
 
 def test_vocabulary_frequency_rank_with_lexicographic_ties():
-    vocab = build_vocabulary(["a b a", "b c"], max_vocab=10, min_doc_freq=1)
+    vocab = build_vocabulary([["a", "b", "a"], ["b", "c"]], max_vocab=10, min_doc_freq=1)
     assert vocab.tokens == ("a", "b", "c")
-    assert (vocab.lookup("a"), vocab.lookup("b"), vocab.lookup("c")) == (1, 2, 3)
+    assert tensorize(["a", "b", "c"], vocab, max_len=3) == [1, 2, 3]
 
 
 def test_vocabulary_rejects_nonpositive_max():
     with pytest.raises(ValueError):
-        build_vocabulary(["x"], max_vocab=0)
+        build_vocabulary([["x"]], max_vocab=0)
 
 
 def test_vocabulary_min_doc_freq_can_empty():
-    vocab = build_vocabulary(["a b", "c d"], max_vocab=10, min_doc_freq=2)
+    vocab = build_vocabulary([["a", "b"], ["c", "d"]], max_vocab=10, min_doc_freq=2)
     assert vocab.size == 0
 
 
+def test_vocabulary_min_doc_freq_counts_documents_not_occurrences():
+    docs = [["a", "a", "a", "b"], ["b", "c"], []]
+    assert build_vocabulary(docs, max_vocab=10, min_doc_freq=2).tokens == ("b",)
+
+
 def test_vocabulary_truncates():
-    vocab = build_vocabulary(["a a a b b c"], max_vocab=2)
+    vocab = build_vocabulary([["a", "a", "a", "b", "b", "c"]], max_vocab=2)
     assert vocab.tokens == ("a", "b")
 
 
@@ -156,50 +169,30 @@ def test_vocabulary_lowercases_and_splits_on_non_alnum():
 
 
 def test_vocabulary_deterministic():
-    docs = ["the quick brown fox", "jumps over the lazy dog", "the fox"]
+    docs = [tokenize(d) for d in ("the quick brown fox", "jumps over the lazy dog", "the fox")]
     assert build_vocabulary(docs).tokens == build_vocabulary(docs).tokens
 
 
 # ---------------------------------------------------------------- tensorize
 
-VOCAB_AB = build_vocabulary(["a b"])  # a=1, b=2
-
-
-def test_tensorize_pads_right():
-    doc = tensorize("a b", VOCAB_AB, max_len=4)
-    np.testing.assert_array_equal(doc.indices, [1, 2, 0, 0])
-    assert doc.true_len == 2
+VOCAB_AB = build_vocabulary([["a", "b"]])  # a=1, b=2
 
 
 def test_tensorize_drops_oov():
-    doc = tensorize("a z a", build_vocabulary(["a"]), max_len=2)
-    np.testing.assert_array_equal(doc.indices, [1, 1])
-    assert doc.true_len == 2
+    assert tensorize(["a", "z", "a"], build_vocabulary([["a"]]), max_len=2) == [1, 1]
 
 
 def test_tensorize_empty_text():
-    doc = tensorize("", VOCAB_AB, max_len=3)
-    np.testing.assert_array_equal(doc.indices, [0, 0, 0])
-    assert doc.true_len == 0
+    assert tensorize([], VOCAB_AB, max_len=3) == []
 
 
 def test_tensorize_truncates():
-    doc = tensorize("a b a b a", VOCAB_AB, max_len=3)
-    np.testing.assert_array_equal(doc.indices, [1, 2, 1])
-    assert doc.true_len == 3
+    assert tensorize(["a", "b", "a", "b", "a"], VOCAB_AB, max_len=3) == [1, 2, 1]
 
 
 def test_tensorize_requires_positive_max_len():
     with pytest.raises(ValueError):
-        tensorize("a", VOCAB_AB, max_len=0)
-
-
-@given(st.text(alphabet="ab z", max_size=40), st.integers(1, 12))
-def test_tensorize_padding_is_neutral(text, max_len):
-    doc = tensorize(text, VOCAB_AB, max_len)
-    assert doc.indices.shape == (max_len,)
-    assert (doc.indices[doc.true_len:] == 0).all()
-    assert (doc.indices[:doc.true_len] > 0).all()
+        tensorize(["a"], VOCAB_AB, max_len=0)
 
 
 # ---------------------------------------------------------------- embeddings
@@ -207,7 +200,7 @@ def test_tensorize_padding_is_neutral(text, max_len):
 def test_load_embeddings_basic(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1.0 2.0\n", encoding="utf-8")
-    table = load_pretrained_embeddings(path, build_vocabulary(["a"]), 2)
+    table = load_pretrained_embeddings(path, build_vocabulary([["a"]]), 2)
     np.testing.assert_array_equal(table[0], [0.0, 0.0])
     np.testing.assert_array_equal(table[1], [1.0, 2.0])
 
@@ -216,20 +209,20 @@ def test_load_embeddings_header_dim_mismatch(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("2 3\na 1 2 3\n", encoding="utf-8")
     with pytest.raises(corpus.EmbeddingFormatError, match="expected 2.*declares 3"):
-        load_pretrained_embeddings(path, build_vocabulary(["a"]), 2)
+        load_pretrained_embeddings(path, build_vocabulary([["a"]]), 2)
 
 
 def test_load_embeddings_row_dim_mismatch(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1 2 3\n", encoding="utf-8")
     with pytest.raises(corpus.EmbeddingFormatError, match="expected 2.*found 3"):
-        load_pretrained_embeddings(path, build_vocabulary(["a"]), 2)
+        load_pretrained_embeddings(path, build_vocabulary([["a"]]), 2)
 
 
 def test_load_embeddings_missing_token_is_seeded_uniform(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1.0 2.0\n", encoding="utf-8")
-    vocab = build_vocabulary(["a q a"])  # a=1, q=2; q missing from the file
+    vocab = build_vocabulary([["a", "q", "a"]])  # a=1, q=2; q missing from the file
     t1 = load_pretrained_embeddings(path, vocab, 2, seed=13)
     t2 = load_pretrained_embeddings(path, vocab, 2, seed=13)
     np.testing.assert_array_equal(t1, t2)  # bitwise identical across runs
@@ -320,3 +313,53 @@ def test_bundle_training_text_matches_training_split(tiny_bundle):
     for pos in range(tiny_bundle.n_users):
         if pos not in train_users:
             assert tiny_bundle.user_doc_lens[pos] == 0
+
+
+def test_bundle_documents_pad_right():
+    records = [ReviewRecord("u1", "i1", 4.0, "a b"), ReviewRecord("u2", "i1", 2.0, "b z")]
+    bundle = corpus.build_bundle(records, [0, 1], [], max_len=4)
+    assert bundle.vocab.tokens == ("b", "a", "z")
+    np.testing.assert_array_equal(bundle.user_docs, [[2, 1, 0, 0], [1, 3, 0, 0]])
+    np.testing.assert_array_equal(bundle.user_doc_lens, [2, 2])
+    np.testing.assert_array_equal(bundle.item_docs, [[2, 1, 1, 3]])
+    np.testing.assert_array_equal(bundle.item_doc_lens, [4])
+
+
+# The bundle's documents, by the definition they follow: join each side's
+# training reviews with " ", tokenize the joined text, keep the in-vocabulary
+# tokens, truncate to max_len and right-pad with 0.  The Kelvin sign and the
+# dotted capital I lowercase to ASCII ("k", and "i" plus a combining dot);
+# capital sigma lowercases by context, to a letter outside [a-z0-9].
+REVIEW_TEXT = st.text(alphabet="abAB z,.!-9\u212a\u0130\u03a3", max_size=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), REVIEW_TEXT, st.booleans()),
+                min_size=1, max_size=12),
+       st.integers(1, 6), st.integers(1, 3), st.integers(1, 6))
+def test_bundle_documents_match_joined_text_reference(rows, max_vocab, min_doc_freq, max_len):
+    records = [ReviewRecord(f"u{u}", f"i{i}", 3.0, text) for u, i, text, _ in rows]
+    train_idx = [k for k, row in enumerate(rows) if not row[3]] or [0]
+    test_idx = [k for k in range(len(rows)) if k not in train_idx]
+    bundle = corpus.build_bundle(records, train_idx, test_idx, max_vocab=max_vocab,
+                                 min_doc_freq=min_doc_freq, max_len=max_len)
+
+    def joined(side):
+        texts = {}
+        for k in train_idx:
+            texts.setdefault(getattr(records[k], side), []).append(records[k].review_text)
+        return {key: tokenize(" ".join(parts)) for key, parts in texts.items()}
+
+    user_toks, item_toks = joined("user_id"), joined("item_id")
+    docs = list(user_toks.values()) + list(item_toks.values())
+    total = {t: sum(doc.count(t) for doc in docs) for doc in docs for t in doc}
+    eligible = [t for t in total if sum(t in doc for doc in docs) >= min_doc_freq]
+    assert bundle.vocab.tokens == tuple(sorted(eligible, key=lambda t: (-total[t], t))[:max_vocab])
+
+    index = {t: pos + 1 for pos, t in enumerate(bundle.vocab.tokens)}
+    for ids, toks, docs_arr, lens in ((bundle.user_ids, user_toks, bundle.user_docs, bundle.user_doc_lens),
+                                      (bundle.item_ids, item_toks, bundle.item_docs, bundle.item_doc_lens)):
+        for row, key in enumerate(ids):
+            kept = [index[t] for t in toks.get(key, []) if t in index][:max_len]
+            assert lens[row] == len(kept)
+            assert docs_arr[row].tolist() == kept + [0] * (max_len - len(kept))

@@ -37,6 +37,11 @@ def test_split_rejects_empty_train():
         split(0, SplitSpec(0.2, seed=0))
 
 
+def test_split_rejects_empty_test():
+    with pytest.raises(ValueError, match=r"no test data \(n=2, test_fraction=0.2\)"):
+        split(2, SplitSpec(0.2))
+
+
 def test_split_spec_validates_fraction():
     with pytest.raises(ValueError):
         SplitSpec(0.0)
