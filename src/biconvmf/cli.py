@@ -64,8 +64,8 @@ class RunConfig:
     weight_decay: float = 1e-4
     out_dir: Path = Path("runs")
 
-    def hyper_for(self, model_kind: str) -> factorize.Hyperparams:
-        kind = factorize.canonical_model_kind(model_kind)
+    def hyper_for(self, kind: str) -> factorize.Hyperparams:
+        """Hyperparameters of one canonical model kind."""
         return factorize.Hyperparams.for_model(
             kind, n_factors=self.n_factors, **self.lambdas.get(kind, {}),
             weight_decay_user=self.weight_decay, weight_decay_item=self.weight_decay,
@@ -180,7 +180,7 @@ def load_config(path) -> RunConfig:
             if not is_model:
                 setattr(cfg, target, value)
             elif value <= 0:
-                raise ConfigError(f"[{section}] lambdas must be > 0")
+                raise ConfigError(f"[{section}] {key} must be > 0, got {value}")
             else:
                 cfg.lambdas.setdefault(kind, {})[key] = value
 
@@ -212,13 +212,23 @@ def _load_bundle_or_fail(paths) -> corpus.CorpusBundle:
     return corpus.load_bundle(paths["bundle"])
 
 
-def _pretrained_table(cfg: RunConfig, bundle):
-    if cfg.pretrained_path is None:
-        return None
-    if not cfg.pretrained_path.exists():
-        raise DataError(f"pretrained embedding file not found: {cfg.pretrained_path}")
-    return corpus.load_pretrained_embeddings(
-        cfg.pretrained_path, bundle.vocab, cfg.embedding_dim, seed=cfg.base_seed)
+def _training_setup(cfg: RunConfig, paths, kinds) -> tuple[corpus.CorpusBundle, dict]:
+    """The bundle, and factorize.train's keywords for training these model kinds.
+
+    BiConvMF+ without [cnn] pretrained_path is refused before the bundle is read.
+    """
+    plus = "BiConvMF+" in kinds
+    if plus and cfg.pretrained_path is None:
+        raise ConfigError("BiConvMF+ requires [cnn] pretrained_path in the config")
+    bundle = _load_bundle_or_fail(paths)
+    options = {"cnn_config": cfg.cnn_config(), "optimizer": cfg.optimizer(),
+               "pretrained_trainable": cfg.pretrained_trainable}
+    if plus:
+        if not cfg.pretrained_path.exists():
+            raise DataError(f"pretrained embedding file not found: {cfg.pretrained_path}")
+        options["pretrained_embedding"] = corpus.load_pretrained_embeddings(
+            cfg.pretrained_path, bundle.vocab, cfg.embedding_dim, seed=cfg.base_seed)
+    return bundle, options
 
 
 def cmd_ingest(cfg: RunConfig, force: bool) -> int:
@@ -260,18 +270,11 @@ def _checkpoint_path(paths, model_kind: str) -> Path:
 def cmd_train(cfg: RunConfig, model_kind: str, force: bool) -> int:
     paths = _paths(cfg)
     kind = factorize.canonical_model_kind(model_kind)
-    if kind == "BiConvMF+" and cfg.pretrained_path is None:
-        raise ConfigError("BiConvMF+ requires [cnn] pretrained_path in the config")
     ckpt = _checkpoint_path(paths, kind)
     _require_no_overwrite(ckpt, force)
-    bundle = _load_bundle_or_fail(paths)
-    pretrained = _pretrained_table(cfg, bundle) if kind == "BiConvMF+" else None
+    bundle, options = _training_setup(cfg, paths, [kind])
     t0 = time.perf_counter()
-    model = factorize.train(
-        bundle, cfg.hyper_for(kind), cnn_config=cfg.cnn_config(),
-        optimizer=cfg.optimizer(), pretrained_embedding=pretrained,
-        pretrained_trainable=cfg.pretrained_trainable, verbose=True,
-    )
+    model = factorize.train(bundle, cfg.hyper_for(kind), verbose=True, **options)
     seconds = time.perf_counter() - t0
     paths["models"].mkdir(parents=True, exist_ok=True)
     factorize.save_model(model, ckpt)
@@ -320,17 +323,10 @@ def cmd_compare(cfg: RunConfig, clip: bool, force: bool) -> int:
     plot_path = paths["reports"] / "comparison_plot.txt"
     _require_no_overwrite(csv_path, force)
     _require_no_overwrite(plot_path, force)
-    if "BiConvMF+" in cfg.models and cfg.pretrained_path is None:
-        raise ConfigError("BiConvMF+ requires [cnn] pretrained_path in the config")
-    bundle = _load_bundle_or_fail(paths)
-    pretrained = _pretrained_table(cfg, bundle) if "BiConvMF+" in cfg.models else None
-    hypers = [cfg.hyper_for(kind) for kind in cfg.models]
+    bundle, options = _training_setup(cfg, paths, cfg.models)
     report = evaluate.run_experiment(
-        bundle, hypers, cnn_config=cfg.cnn_config(), optimizer=cfg.optimizer(),
-        n_runs=cfg.n_runs, base_seed=cfg.base_seed,
-        pretrained_embedding=pretrained,
-        pretrained_trainable=cfg.pretrained_trainable,
-        clip=clip, verbose=True,
+        bundle, [cfg.hyper_for(kind) for kind in cfg.models],
+        n_runs=cfg.n_runs, base_seed=cfg.base_seed, clip=clip, verbose=True, **options,
     )
     paths["reports"].mkdir(parents=True, exist_ok=True)
     serialize.write_text(csv_path, report.to_csv())

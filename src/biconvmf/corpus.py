@@ -295,6 +295,22 @@ class CorpusBundle:
     test_fraction: float
     split_seed: int
 
+    def __post_init__(self):
+        """Refuse arrays that disagree with the ids, the vocabulary or max_len."""
+        check = serialize.check_array
+        n_users, n_items, size = self.n_users, self.n_items, self.vocab.size
+        check("user_docs", self.user_docs, (n_users, self.max_len), integer=True, lo=0, hi=size)
+        check("item_docs", self.item_docs, (n_items, self.max_len), integer=True, lo=0, hi=size)
+        check("user_doc_lens", self.user_doc_lens, (n_users,), integer=True, lo=0, hi=self.max_len)
+        check("item_doc_lens", self.item_doc_lens, (n_items,), integer=True, lo=0, hi=self.max_len)
+        for split, users, items, ratings in (
+                ("train", self.train_user_idx, self.train_item_idx, self.train_ratings),
+                ("test", self.test_user_idx, self.test_item_idx, self.test_ratings)):
+            n = len(ratings)
+            check(f"{split}_user_idx", users, (n,), integer=True, lo=0, hi=n_users - 1)
+            check(f"{split}_item_idx", items, (n,), integer=True, lo=0, hi=n_items - 1)
+            check(f"{split}_ratings", ratings, (n,), lo=1.0, hi=5.0)
+
     @property
     def n_users(self) -> int:
         return len(self.user_ids)

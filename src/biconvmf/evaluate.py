@@ -15,7 +15,7 @@ import numpy as np
 
 from . import factorize
 from .linalg import SolveError
-from .textcnn import CnnConfig, OptimizerConfig, TrainingDivergedError
+from .textcnn import TrainingDivergedError
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,14 @@ class RunResult:
 @dataclass
 class ExperimentReport:
     model_kinds: list[str]
-    n_runs: int
-    base_seed: int
     results: list[RunResult] = field(default_factory=list)
 
     def runs_for(self, model_kind: str) -> list[RunResult]:
         return [r for r in self.results if r.model_kind == model_kind]
+
+    def by_run(self) -> list[tuple[RunResult, ...]]:
+        """Each run's results, one per model in model_kinds order."""
+        return list(zip(*(self.runs_for(k) for k in self.model_kinds)))
 
     def mean_rmse(self, model_kind: str) -> float:
         vals = [r.rmse for r in self.runs_for(model_kind) if not r.failed]
@@ -115,60 +117,43 @@ class ExperimentReport:
     def to_plot_data(self) -> str:
         """Plain-text columns: run index then one RMSE column per model."""
         lines = ["run " + " ".join(self.model_kinds)]
-        by_model = {k: {r.run: r.rmse for r in self.runs_for(k)} for k in self.model_kinds}
-        for run in range(1, self.n_runs + 1):
-            cells = [f"{by_model[k].get(run, float('nan')):.6f}" for k in self.model_kinds]
-            lines.append(f"{run} " + " ".join(cells))
+        lines += [f"{row[0].run} " + " ".join(f"{r.rmse:.6f}" for r in row)
+                  for row in self.by_run()]
         return "\n".join(lines) + "\n"
 
     def format_table(self) -> str:
         """Console table: one row per run plus the per-model averages."""
         width = max(10, max((len(k) for k in self.model_kinds), default=10) + 2)
-        header = "run".ljust(6) + "".join(k.rjust(width) for k in self.model_kinds)
-        rows = [header]
-        by_model = {k: {r.run: r for r in self.runs_for(k)} for k in self.model_kinds}
-        for run in range(1, self.n_runs + 1):
-            cells = []
-            for k in self.model_kinds:
-                r = by_model[k].get(run)
-                cells.append(("failed" if r is None or r.failed else f"{r.rmse:.5f}").rjust(width))
-            rows.append(str(run).ljust(6) + "".join(cells))
+        rows = ["run".ljust(6) + "".join(k.rjust(width) for k in self.model_kinds)]
+        rows += [str(row[0].run).ljust(6)
+                 + "".join(("failed" if r.failed else f"{r.rmse:.5f}").rjust(width) for r in row)
+                 for row in self.by_run()]
         rows.append("mean".ljust(6) + "".join(f"{self.mean_rmse(k):.5f}".rjust(width) for k in self.model_kinds))
         return "\n".join(rows)
 
 
 def run_experiment(bundle, model_hypers: list[factorize.Hyperparams],
-                   cnn_config: CnnConfig | None = None,
-                   optimizer: OptimizerConfig | None = None,
                    n_runs: int = 5, base_seed: int = 0,
-                   pretrained_embedding: np.ndarray | None = None,
-                   pretrained_trainable: bool = False,
-                   clip: bool = False,
-                   verbose: bool = False) -> ExperimentReport:
+                   clip: bool = False, verbose: bool = False,
+                   **train_options) -> ExperimentReport:
     """Averaged comparison: every model, n_runs seeds, one shared split.
 
     The split is the one already stored in the bundle; run r trains with
-    seed base_seed + r.  A run that fails in training (a diverged CNN or an
-    unsolvable half-step) is recorded (rmse nan plus the error text) and the
-    remaining cells still execute; any other exception propagates.
+    seed base_seed + r.  train_options (cnn_config, optimizer,
+    pretrained_embedding, pretrained_trainable) go to factorize.train
+    unchanged, for every run.  A run that fails in training (a diverged CNN
+    or an unsolvable half-step) is recorded (rmse nan plus the error text)
+    and the remaining cells still execute; any other exception propagates.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    report = ExperimentReport(
-        model_kinds=[h.model_kind for h in model_hypers],
-        n_runs=n_runs, base_seed=base_seed,
-    )
+    report = ExperimentReport(model_kinds=[h.model_kind for h in model_hypers])
     for hyper in model_hypers:
         for run in range(1, n_runs + 1):
             seed = base_seed + run
-            run_hyper = replace(hyper, seed=seed)
             t0 = time.perf_counter()
             try:
-                model = factorize.train(
-                    bundle, run_hyper, cnn_config=cnn_config, optimizer=optimizer,
-                    pretrained_embedding=pretrained_embedding,
-                    pretrained_trainable=pretrained_trainable,
-                )
+                model = factorize.train(bundle, replace(hyper, seed=seed), **train_options)
                 score, _ = evaluate_model(model, bundle, clip=clip)
                 result = RunResult(hyper.model_kind, run, seed, score,
                                    time.perf_counter() - t0)

@@ -52,14 +52,6 @@ def canonical_model_kind(name: str) -> str:
     raise ValueError(f"unknown model kind {name!r}; expected one of {MODEL_KINDS}")
 
 
-def uses_user_cnn(model_kind: str) -> bool:
-    return model_kind in ("BiConvMF", "BiConvMF+")
-
-
-def uses_item_cnn(model_kind: str) -> bool:
-    return model_kind != "PMF"
-
-
 @dataclass
 class Hyperparams:
     model_kind: str = "BiConvMF"
@@ -260,6 +252,17 @@ class TrainedModel:
     item_train_counts: np.ndarray
     log: TrainLog
 
+    def __post_init__(self):
+        """Refuse factors, means or counts that disagree with the ids and k, or are not finite."""
+        k, n_users, n_items = self.hyper.n_factors, len(self.user_ids), len(self.item_ids)
+        check = serialize.check_array
+        check("user_factors", self.user_factors, (k, n_users))
+        check("item_factors", self.item_factors, (k, n_items))
+        check("item_means", self.item_means, (n_items,))
+        check("global_mean", self.global_mean, ())
+        check("user_train_counts", self.user_train_counts, (n_users,), integer=True, lo=0)
+        check("item_train_counts", self.item_train_counts, (n_items,), integer=True, lo=0)
+
     def predict_indexed(self, user_idx, item_idx, clip: bool = False) -> np.ndarray:
         """Vectorized predictions for index arrays, with cold-start fallbacks.
 
@@ -324,8 +327,8 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     if len(ratings) == 0:
         raise ValueError("bundle has no training ratings")
 
-    want_user_cnn = uses_user_cnn(kind) and not force_zero_cnn
-    want_item_cnn = uses_item_cnn(kind) and not force_zero_cnn
+    want_user_cnn = kind in ("BiConvMF", "BiConvMF+") and not force_zero_cnn
+    want_item_cnn = kind != "PMF" and not force_zero_cnn
     if (want_user_cnn or want_item_cnn) and cnn_config is None:
         cnn_config = CnnConfig(max_len=bundle.max_len, output_dim=hyper.n_factors)
     if cnn_config is not None and (want_user_cnn or want_item_cnn):

@@ -37,19 +37,20 @@ class UnsupportedVersionError(ContainerError):
     """Container has a valid magic but a version this code does not know."""
 
 
-def pack_container(magic: bytes, version: int, sections: dict[str, bytes]) -> bytes:
+def _container_chunks(magic: bytes, version: int, sections: dict[str, bytes]) -> list[bytes]:
+    """The container's bytes in order: headers, and each payload itself (not a copy)."""
     if len(magic) != MAGIC_LEN:
         raise ValueError(f"magic must be {MAGIC_LEN} bytes, got {len(magic)}")
-    out = io.BytesIO()
-    out.write(magic)
-    out.write(struct.pack("<II", version, len(sections)))
+    chunks = [magic, struct.pack("<II", version, len(sections))]
     for name, payload in sections.items():
         encoded = name.encode("utf-8")
-        out.write(struct.pack("<H", len(encoded)))
-        out.write(encoded)
-        out.write(struct.pack("<Q", len(payload)))
-        out.write(payload)
-    return out.getvalue()
+        chunks += [struct.pack("<H", len(encoded)) + encoded + struct.pack("<Q", len(payload)),
+                   payload]
+    return chunks
+
+
+def pack_container(magic: bytes, version: int, sections: dict[str, bytes]) -> bytes:
+    return b"".join(_container_chunks(magic, version, sections))
 
 
 def unpack_container(blob: bytes, magic: bytes, supported_versions: tuple[int, ...]) -> tuple[int, dict[str, bytes]]:
@@ -82,22 +83,24 @@ def unpack_container(blob: bytes, magic: bytes, supported_versions: tuple[int, .
 
 
 def write_container(path, magic: bytes, version: int, sections: dict[str, bytes]) -> None:
-    """Write a container file atomically (see _write_atomic)."""
-    _write_atomic(path, pack_container(magic, version, sections))
+    """Write a container file atomically (see _write_atomic), chunk by chunk,
+    so the file's bytes are never joined in memory."""
+    _write_atomic(path, _container_chunks(magic, version, sections))
 
 
 def write_text(path, text: str) -> None:
     """Write a UTF-8 text report atomically (see _write_atomic)."""
-    _write_atomic(path, text.encode("utf-8"))
+    _write_atomic(path, [text.encode("utf-8")])
 
 
-def _write_atomic(path, data: bytes) -> None:
+def _write_atomic(path, chunks: list[bytes]) -> None:
     """Write a temporary file beside path and rename it over path, so that a
     failed write leaves the existing file untouched and no temporary file."""
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -138,6 +141,23 @@ def require_section(sections: dict[str, bytes], name: str) -> bytes:
     if name not in sections:
         raise ContainerError(f"missing required section '{name}'")
     return sections[name]
+
+
+def check_array(name: str, arr, shape: tuple, integer: bool = False, lo=None, hi=None) -> None:
+    """Refuse (ValueError naming the array) an array of another shape, whose
+    entries are not integers (or, when integer is False, real numbers), or
+    with an entry that is not finite or lies outside [lo, hi]."""
+    arr = np.asarray(arr)
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if arr.dtype.kind not in ("iu" if integer else "iuf"):
+        raise ValueError(f"{name} has dtype {arr.dtype}, expected {'integers' if integer else 'real numbers'}")
+    if arr.size == 0:
+        return
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    if (lo is not None and arr.min() < lo) or (hi is not None and arr.max() > hi):
+        raise ValueError(f"{name} has an entry outside [{lo}, {hi}]")
 
 
 # Field metadata: INLINE stores a nested dataclass's keys in its owner's meta.

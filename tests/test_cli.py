@@ -442,3 +442,70 @@ def test_failed_report_write_keeps_old_report(tmp_path, review_file, monkeypatch
         main([*argv, "--config", str(cfg), "--force"])
     assert path.read_bytes() == before
     assert not Path(f"{path}.tmp").exists()
+
+
+
+def _with(arr, index, value):
+    """A copy of arr with arr[index] set to value."""
+    arr = arr.copy()
+    arr[index] = value
+    return arr
+
+
+@pytest.mark.parametrize("kind, section, edit, argv, message", [
+    ("bundle", "user_docs", lambda a, b: _with(a, (0, 0), b.vocab.size + 1),
+     ["train", "--model", "BiConvMF"], "user_docs has an entry outside [0, "),
+    ("bundle", "user_doc_lens", lambda a, b: _with(a, 0, b.max_len + 1),
+     ["train", "--model", "BiConvMF"], "user_doc_lens has an entry outside [0, 24]"),
+    ("bundle", "item_docs", lambda a, b: a[:, :-1],
+     ["train", "--model", "BiConvMF"], "item_docs has shape"),
+    ("bundle", "train_user_idx", lambda a, b: _with(a, 0, b.n_users),
+     ["train", "--model", "PMF"], "train_user_idx has an entry outside"),
+    ("bundle", "test_item_idx", lambda a, b: _with(a, -1, b.n_items),
+     ["compare"], "test_item_idx has an entry outside"),
+    ("bundle", "train_ratings", lambda a, b: _with(a, 0, np.nan),
+     ["train", "--model", "PMF"], "train_ratings has a non-finite entry"),
+    ("model", "user_factors", lambda a, b: a[:, :3],
+     ["evaluate", "--model", "PMF"], "user_factors has shape"),
+    ("model", "user_factors", lambda a, b: a * np.nan,
+     ["evaluate", "--model", "PMF"], "user_factors has a non-finite entry"),
+], ids=["token-past-vocab", "length-past-max-len", "narrow-docs", "train-user-out-of-range",
+        "test-item-out-of-range", "nan-rating", "factor-columns", "nan-factors"])
+def test_corrupt_array_section_is_data_error(tmp_path, review_file, capsys,
+                                             kind, section, edit, argv, message):
+    from biconvmf import corpus, factorize, serialize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    bundle = corpus.load_bundle(tmp_path / "out/corpus/bundle.bcmf")
+    path, magic = {"bundle": (tmp_path / "out/corpus/bundle.bcmf", corpus.BUNDLE_MAGIC),
+                   "model": (tmp_path / "out/models/PMF.ckpt", factorize.MODEL_MAGIC)}[kind]
+    _, sections = serialize.read_container(path, magic, (1,))
+    arr = serialize.array_from_bytes(sections[section], section)
+    sections[section] = serialize.array_to_bytes(edit(arr, bundle))
+    serialize.write_container(path, magic, 1, sections)
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg), "--force"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"experiment": {"test_fraction": "1.5"}}, "test_fraction must be in (0, 1), got 1.5"),
+    ({"data": {"first_n": "-1"}}, "first_n must be >= 0, got -1"),
+    ({"model.PMF": {"lambda_user": "0"}}, "[model.PMF] lambda_user must be > 0, got 0.0"),
+    ({"DEFAULT": {"first_n": "5"}}, "unknown section [DEFAULT]"),
+], ids=["test-fraction", "first-n", "zero-lambda", "default-section"])
+def test_out_of_range_config_value_is_config_error(tmp_path, review_file, capsys, extra, message):
+    cfg = write_config(tmp_path, review_file, tmp_path / "out", **extra)
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_max_len_changed_since_ingest_is_config_error(tmp_path, review_file, capsys):
+    assert main(["ingest", "--config", str(write_config(tmp_path, review_file, tmp_path / "out"))]) == EXIT_OK
+    cfg = write_config(tmp_path, review_file, tmp_path / "out", corpus={"max_len": "30"})
+    assert main(["train", "--config", str(cfg), "--model", "ConvMF"]) == EXIT_CONFIG
+    assert "cnn max_len 30 != bundle max_len 24" in capsys.readouterr().err
+    assert not (tmp_path / "out/models/ConvMF.ckpt").exists()
