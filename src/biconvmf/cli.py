@@ -13,7 +13,7 @@ import configparser
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,59 +34,6 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    data_path: Path = Path("reviews.json")
-    first_n: int = 20000
-    base_seed: int = 42
-    test_fraction: float = 0.2
-    n_runs: int = 5
-    models: list[str] = field(default_factory=lambda: ["PMF", "ConvMF", "BiConvMF"])
-    max_vocab: int = corpus.DEFAULT_MAX_VOCAB
-    min_doc_freq: int = corpus.DEFAULT_MIN_DOC_FREQ
-    max_len: int = corpus.DEFAULT_MAX_LEN
-    embedding_dim: int = corpus.DEFAULT_EMBEDDING_DIM
-    window_sizes: tuple[int, ...] = (3, 4, 5)
-    n_filters: int = 100
-    dropout_rate: float = 0.2
-    learning_rate: float = 1e-3
-    epochs_per_outer: int = 5
-    batch_size: int = 128
-    pretrained_path: Path | None = None
-    pretrained_trainable: bool = False
-    n_factors: int = 50
-    outer_iters: int = 30
-    early_stop_rel_tol: float = 1e-4
-    early_stop_patience: int = 3
-    lambdas: dict = field(default_factory=dict)  # model kind -> {LAMBDA_KEYS entry: value}
-    weight_decay: float = 1e-4
-    out_dir: Path = Path("runs")
-
-    def hyper_for(self, kind: str) -> factorize.Hyperparams:
-        """Hyperparameters of one canonical model kind."""
-        return factorize.Hyperparams.for_model(
-            kind, n_factors=self.n_factors, **self.lambdas.get(kind, {}),
-            weight_decay_user=self.weight_decay, weight_decay_item=self.weight_decay,
-            outer_iters=self.outer_iters,
-            early_stop_rel_tol=self.early_stop_rel_tol,
-            early_stop_patience=self.early_stop_patience,
-            seed=self.base_seed,
-        )
-
-    def cnn_config(self) -> textcnn.CnnConfig:
-        return textcnn.CnnConfig(
-            max_len=self.max_len, embedding_dim=self.embedding_dim,
-            output_dim=self.n_factors, window_sizes=self.window_sizes,
-            n_filters=self.n_filters, dropout_rate=self.dropout_rate,
-        )
-
-    def optimizer(self) -> textcnn.OptimizerConfig:
-        return textcnn.OptimizerConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs_per_outer, batch_size=self.batch_size,
-        )
 
 
 def _as_list(raw: str) -> list[str]:
@@ -114,33 +61,79 @@ def _as_bool(raw: str) -> bool:
         raise ValueError("expected one of 1/yes/true/on or 0/no/false/off") from None
 
 
-# (section, key) -> (RunConfig field, parser)
-CONFIG_KEYS = {
-    ("data", "path"): ("data_path", Path),
-    ("data", "first_n"): ("first_n", int),
-    ("experiment", "base_seed"): ("base_seed", int),
-    ("experiment", "test_fraction"): ("test_fraction", float),
-    ("experiment", "n_runs"): ("n_runs", int),
-    ("experiment", "models"): ("models", _as_models),
-    ("corpus", "max_vocab"): ("max_vocab", int),
-    ("corpus", "min_doc_freq"): ("min_doc_freq", int),
-    ("corpus", "max_len"): ("max_len", int),
-    ("cnn", "embedding_dim"): ("embedding_dim", int),
-    ("cnn", "window_sizes"): ("window_sizes", lambda raw: tuple(int(x) for x in _as_list(raw))),
-    ("cnn", "n_filters"): ("n_filters", int),
-    ("cnn", "dropout_rate"): ("dropout_rate", float),
-    ("cnn", "learning_rate"): ("learning_rate", float),
-    ("cnn", "epochs_per_outer"): ("epochs_per_outer", int),
-    ("cnn", "batch_size"): ("batch_size", int),
-    ("cnn", "pretrained_path"): ("pretrained_path", Path),
-    ("cnn", "pretrained_trainable"): ("pretrained_trainable", _as_bool),
-    ("factorization", "n_factors"): ("n_factors", int),
-    ("factorization", "outer_iters"): ("outer_iters", int),
-    ("factorization", "early_stop_rel_tol"): ("early_stop_rel_tol", float),
-    ("factorization", "early_stop_patience"): ("early_stop_patience", int),
-    ("factorization", "weight_decay"): ("weight_decay", float),
-    ("output", "dir"): ("out_dir", Path),
-}
+def _as_finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _setting(section: str, default, *, key: str | None = None, parse=None):
+    """A RunConfig field set by `key` (the field's name if None) of [section] and
+    read by `parse`, by default the parser of the default's type."""
+    meta = {"section": section, "key": key,
+            "parse": parse or {bool: _as_bool, float: _as_finite}.get(type(default), type(default))}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class RunConfig:
+    """One run's settings, each declared once with its INI section and default."""
+
+    data_path: Path = _setting("data", Path("reviews.json"), key="path")
+    first_n: int = _setting("data", 20000)
+    base_seed: int = _setting("experiment", 42)
+    test_fraction: float = _setting("experiment", 0.2)
+    n_runs: int = _setting("experiment", 5)
+    models: list[str] = _setting("experiment", ["PMF", "ConvMF", "BiConvMF"], parse=_as_models)
+    max_vocab: int = _setting("corpus", corpus.DEFAULT_MAX_VOCAB)
+    min_doc_freq: int = _setting("corpus", corpus.DEFAULT_MIN_DOC_FREQ)
+    max_len: int = _setting("corpus", corpus.DEFAULT_MAX_LEN)
+    embedding_dim: int = _setting("cnn", textcnn.CnnConfig.embedding_dim)
+    window_sizes: tuple[int, ...] = _setting("cnn", textcnn.CnnConfig.window_sizes,
+                                             parse=lambda raw: tuple(map(int, _as_list(raw))))
+    n_filters: int = _setting("cnn", textcnn.CnnConfig.n_filters)
+    dropout_rate: float = _setting("cnn", textcnn.CnnConfig.dropout_rate)
+    learning_rate: float = _setting("cnn", textcnn.OptimizerConfig.learning_rate)
+    epochs_per_outer: int = _setting("cnn", textcnn.OptimizerConfig.epochs)
+    batch_size: int = _setting("cnn", textcnn.OptimizerConfig.batch_size)
+    pretrained_path: Path | None = _setting("cnn", None, parse=Path)
+    pretrained_trainable: bool = _setting("cnn", False)
+    n_factors: int = _setting("factorization", factorize.Hyperparams.n_factors)
+    outer_iters: int = _setting("factorization", factorize.Hyperparams.outer_iters)
+    early_stop_rel_tol: float = _setting("factorization", factorize.Hyperparams.early_stop_rel_tol)
+    early_stop_patience: int = _setting("factorization", factorize.Hyperparams.early_stop_patience)
+    lambdas: dict = field(default_factory=dict)  # model kind -> {LAMBDA_KEYS entry: value}
+    weight_decay: float = _setting("factorization", factorize.Hyperparams.weight_decay_user)
+    out_dir: Path = _setting("output", Path("runs"), key="dir")
+
+    def hyper_for(self, kind: str) -> factorize.Hyperparams:
+        """Hyperparameters of one canonical model kind."""
+        return factorize.Hyperparams.for_model(
+            kind, n_factors=self.n_factors, **self.lambdas.get(kind, {}),
+            weight_decay_user=self.weight_decay, weight_decay_item=self.weight_decay,
+            outer_iters=self.outer_iters,
+            early_stop_rel_tol=self.early_stop_rel_tol,
+            early_stop_patience=self.early_stop_patience,
+            seed=self.base_seed,
+        )
+
+    def cnn_config(self) -> textcnn.CnnConfig:
+        return textcnn.CnnConfig(
+            max_len=self.max_len, embedding_dim=self.embedding_dim,
+            output_dim=self.n_factors, window_sizes=self.window_sizes,
+            n_filters=self.n_filters, dropout_rate=self.dropout_rate,
+        )
+
+    def optimizer(self) -> textcnn.OptimizerConfig:
+        return textcnn.OptimizerConfig(
+            learning_rate=self.learning_rate,
+            epochs=self.epochs_per_outer, batch_size=self.batch_size,
+        )
+
+
 LAMBDA_KEYS = ("lambda_user", "lambda_item")   # the keys of a [model.<kind>] section
 
 
@@ -151,24 +144,29 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         sections = [(s, parser.items(s)) for s in parser.sections()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     if parser.defaults():
         raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
 
+    settings = {(f.metadata["section"], f.metadata["key"] or f.name): (f.name, f.metadata["parse"])
+                for f in fields(RunConfig) if f.metadata}
     cfg = RunConfig()
     for section, items in sections:
         kind = section.removeprefix("model.")
         is_model = kind != section and kind in factorize.MODEL_KINDS
-        if not is_model and section not in {s for s, _ in CONFIG_KEYS}:
+        if not is_model and section not in {s for s, _ in settings}:
             raise ConfigError(f"unknown section [{section}] in {path}")
         for key, raw in items:
             if is_model and key in LAMBDA_KEYS:
-                target, parse = None, float
-            elif (section, key) in CONFIG_KEYS:
-                target, parse = CONFIG_KEYS[section, key]
+                target, parse = None, _as_finite
+            elif (section, key) in settings:
+                target, parse = settings[section, key]
             else:
                 raise ConfigError(f"unknown key '{key}' in [{section}] of {path}")
             if raw == "":   # configparser strips values; empty keeps the default
@@ -206,9 +204,17 @@ def _require_no_overwrite(path: Path, force: bool):
         raise ConfigError(f"{path} already exists; pass --force to overwrite")
 
 
+def _require_file(path: Path, missing: str):
+    """DataError `missing` when nothing is at path, or one naming why it cannot be read."""
+    try:
+        path.open("rb").close()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}" if path.exists() else missing) from None
+
+
 def _load_bundle_or_fail(paths) -> corpus.CorpusBundle:
-    if not paths["bundle"].exists():
-        raise DataError(f"corpus bundle not found at {paths['bundle']}; run `biconvmf ingest` first")
+    _require_file(paths["bundle"],
+                  f"corpus bundle not found at {paths['bundle']}; run `biconvmf ingest` first")
     return corpus.load_bundle(paths["bundle"])
 
 
@@ -224,8 +230,7 @@ def _training_setup(cfg: RunConfig, paths, kinds) -> tuple[corpus.CorpusBundle, 
     options = {"cnn_config": cfg.cnn_config(), "optimizer": cfg.optimizer(),
                "pretrained_trainable": cfg.pretrained_trainable}
     if plus:
-        if not cfg.pretrained_path.exists():
-            raise DataError(f"pretrained embedding file not found: {cfg.pretrained_path}")
+        _require_file(cfg.pretrained_path, f"pretrained embedding file not found: {cfg.pretrained_path}")
         options["pretrained_embedding"] = corpus.load_pretrained_embeddings(
             cfg.pretrained_path, bundle.vocab, cfg.embedding_dim, seed=cfg.base_seed)
     return bundle, options
@@ -234,8 +239,7 @@ def _training_setup(cfg: RunConfig, paths, kinds) -> tuple[corpus.CorpusBundle, 
 def cmd_ingest(cfg: RunConfig, force: bool) -> int:
     paths = _paths(cfg)
     _require_no_overwrite(paths["bundle"], force)
-    if not cfg.data_path.exists():
-        raise DataError(f"review file not found: {cfg.data_path}")
+    _require_file(cfg.data_path, f"review file not found: {cfg.data_path}")
     records, stats = corpus.take_first_n(corpus.parse_reviews(cfg.data_path), cfg.first_n)
     if not records:
         raise DataError(f"no records ingested from {cfg.data_path}")
@@ -296,8 +300,7 @@ def cmd_evaluate(cfg: RunConfig, model_kind: str, clip: bool, force: bool) -> in
     ckpt = _checkpoint_path(paths, kind)
     report = paths["reports"] / f"{kind}_eval.csv"
     _require_no_overwrite(report, force)
-    if not ckpt.exists():
-        raise DataError(f"checkpoint not found at {ckpt}; run `biconvmf train --model {kind}` first")
+    _require_file(ckpt, f"checkpoint not found at {ckpt}; run `biconvmf train --model {kind}` first")
     bundle = _load_bundle_or_fail(paths)
     model = factorize.load_model(ckpt)
     if model.user_ids != bundle.user_ids or model.item_ids != bundle.item_ids:

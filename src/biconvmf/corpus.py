@@ -41,7 +41,6 @@ BUNDLE_VERSION = 1
 DEFAULT_MAX_VOCAB = 8000
 DEFAULT_MIN_DOC_FREQ = 1
 DEFAULT_MAX_LEN = 300
-DEFAULT_EMBEDDING_DIM = 200
 
 
 class ReviewParseError(ValueError):

@@ -69,10 +69,10 @@ class Hyperparams:
         self.model_kind = canonical_model_kind(self.model_kind)
         if self.n_factors < 1:
             raise ValueError(f"n_factors must be >= 1, got {self.n_factors}")
-        if self.lambda_user <= 0 or self.lambda_item <= 0:
-            raise ValueError("lambda_user and lambda_item must be > 0")
-        if self.weight_decay_user < 0 or self.weight_decay_item < 0:
-            raise ValueError("weight decays must be >= 0")
+        if not (0 < self.lambda_user < np.inf and 0 < self.lambda_item < np.inf):
+            raise ValueError("lambda_user and lambda_item must be finite and > 0")
+        if not (0 <= self.weight_decay_user < np.inf and 0 <= self.weight_decay_item < np.inf):
+            raise ValueError("weight decays must be finite and >= 0")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
         if self.early_stop_patience < 1:

@@ -72,16 +72,12 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _first_bad_pivot(a: np.ndarray) -> int:
-    # Error path only: redo the factorizations slowly, one system at a time,
-    # to locate the first failing system and its pivot.
+    # Error path only: factor the leading minors of one system at a time; the
+    # first minor of order j + 1 that is not positive definite fails at pivot j.
     for system in a.reshape(-1, *a.shape[-2:]):
-        n = system.shape[0]
-        chol = np.zeros_like(system)
-        for j in range(n):
-            d = system[j, j] - chol[j, :j] @ chol[j, :j]
-            if not np.isfinite(d) or d <= 0.0:
+        for j in range(system.shape[0]):
+            try:
+                np.linalg.cholesky(system[:j + 1, :j + 1])
+            except np.linalg.LinAlgError:
                 return j
-            chol[j, j] = np.sqrt(d)
-            if j + 1 < n:
-                chol[j + 1:, j] = (system[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
     return a.shape[-1] - 1

@@ -509,3 +509,61 @@ def test_max_len_changed_since_ingest_is_config_error(tmp_path, review_file, cap
     assert main(["train", "--config", str(cfg), "--model", "ConvMF"]) == EXIT_CONFIG
     assert "cnn max_len 30 != bundle max_len 24" in capsys.readouterr().err
     assert not (tmp_path / "out/models/ConvMF.ckpt").exists()
+
+
+def test_config_path_that_cannot_be_read_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("reviews.json").write_text("")   # what the defaults would ingest
+    assert main(["ingest", "--config", str(tmp_path)]) == EXIT_CONFIG
+    assert f"cannot read config file {tmp_path}: Is a directory" in capsys.readouterr().err
+    assert not Path("runs").exists()
+
+
+@pytest.mark.parametrize("case", ["reviews", "pretrained", "bundle", "checkpoint"])
+def test_input_path_that_is_a_directory_is_data_error(tmp_path, review_file, capsys, case):
+    out = tmp_path / "out"
+    directory, extra, argv = {
+        "reviews": (tmp_path / "reviews.json", {"data": {"path": tmp_path / "reviews.json"}}, ["ingest"]),
+        "pretrained": (tmp_path / "vectors.txt", {"cnn": {"pretrained_path": tmp_path / "vectors.txt"}},
+                       ["train", "--model", "BiConvMF+"]),
+        "bundle": (out / "corpus/bundle.bcmf", {}, ["train", "--model", "PMF"]),
+        "checkpoint": (out / "models/PMF.ckpt", {}, ["evaluate", "--model", "PMF"]),
+    }[case]
+    if case in ("pretrained", "checkpoint"):
+        assert main(["ingest", "--config", str(write_config(tmp_path, review_file, out))]) == EXIT_OK
+    directory.mkdir(parents=True)
+    cfg = write_config(tmp_path, review_file, out, **extra)
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"cannot read {directory}: Is a directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, key, raw, model", [
+    ("model.PMF", "lambda_user", "nan", "PMF"), ("model.PMF", "lambda_item", "inf", "PMF"),
+    ("factorization", "weight_decay", "nan", "PMF"), ("cnn", "learning_rate", "inf", "ConvMF"),
+])
+def test_non_finite_setting_is_config_error(tmp_path, review_file, capsys, section, key, raw, model):
+    assert main(["ingest", "--config", str(write_config(tmp_path, review_file, tmp_path / "out"))]) == EXIT_OK
+    cfg = write_config(tmp_path, review_file, tmp_path / "out", **{section: {key: raw}})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--model", model]) == EXIT_CONFIG
+    assert f"bad value for [{section}] {key}: {raw!r} (not a finite number)" in capsys.readouterr().err
+    assert not (tmp_path / f"out/models/{model}.ckpt").exists()
+
+
+def test_defaults_are_movies_tv_ini_except_six_keys():
+    from dataclasses import fields
+
+    from biconvmf.cli import RunConfig
+    shipped = load_config(Path(__file__).parents[1] / "configs/movies_tv.ini")
+    default = RunConfig()
+    differ = {f.name for f in fields(RunConfig) if getattr(shipped, f.name) != getattr(default, f.name)}
+    assert differ == {"data_path", "max_len", "embedding_dim", "epochs_per_outer", "outer_iters", "out_dir"}
+
+
+def test_list_default_is_fresh_for_each_config():
+    from biconvmf.cli import RunConfig
+    first = RunConfig()
+    first.models.append("BiConvMF+")
+    assert RunConfig().models == ["PMF", "ConvMF", "BiConvMF"]

@@ -255,6 +255,15 @@ def test_hyperparams_reject_patience_below_one(patience):
         Hyperparams(model_kind="PMF", early_stop_patience=patience)
 
 
+@pytest.mark.parametrize("setting", [
+    {"lambda_user": float("nan")}, {"lambda_item": float("inf")},
+    {"weight_decay_user": float("nan")}, {"weight_decay_item": float("inf")},
+])
+def test_hyperparams_reject_non_finite_regularization(setting):
+    with pytest.raises(ValueError, match="must be finite"):
+        Hyperparams(model_kind="PMF", **setting)
+
+
 def one_cell_bundle(rating=4.0):
     from biconvmf import corpus
     records = [corpus.ReviewRecord("u0", "i0", rating, "fine movie")]

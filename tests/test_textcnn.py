@@ -442,6 +442,7 @@ def test_weight_decay_keeps_padding_row_zero():
 @pytest.mark.parametrize("setting, name", [
     ({"learning_rate": 0.0}, "learning_rate"), ({"learning_rate": float("nan")}, "learning_rate"),
     ({"epochs": 0}, "epochs"), ({"batch_size": 0}, "batch_size"),
+    ({"learning_rate": float("inf")}, "learning_rate"),
 ])
 def test_optimizer_config_rejects_bad_settings(setting, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
