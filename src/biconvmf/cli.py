@@ -199,9 +199,25 @@ def _paths(cfg: RunConfig):
     }
 
 
-def _require_no_overwrite(path: Path, force: bool):
-    if path.exists() and not force:
-        raise ConfigError(f"{path} already exists; pass --force to overwrite")
+def _check_outputs(files: list[Path], force: bool):
+    """Refuse, before any work, output files that cannot be written: one that
+    exists without --force or is a directory, and one whose directory cannot
+    be made because a file stands at it or at one of its parents."""
+    for path in files:
+        if path.is_dir():
+            raise ConfigError(f"{path} is a directory; cannot write an output file there")
+        if path.exists() and not force:
+            raise ConfigError(f"{path} already exists; pass --force to overwrite")
+        blocked = next((d for d in path.parents if d.exists()), None)
+        if blocked is not None and not blocked.is_dir():
+            raise ConfigError(f"{blocked} is not a directory; cannot write {path}")
+
+
+def _make_dir(path: Path):
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
 
 
 def _require_file(path: Path, missing: str):
@@ -238,7 +254,7 @@ def _training_setup(cfg: RunConfig, paths, kinds) -> tuple[corpus.CorpusBundle, 
 
 def cmd_ingest(cfg: RunConfig, force: bool) -> int:
     paths = _paths(cfg)
-    _require_no_overwrite(paths["bundle"], force)
+    _check_outputs([paths["bundle"], paths["corpus"] / "stats.json"], force)
     _require_file(cfg.data_path, f"review file not found: {cfg.data_path}")
     records, stats = corpus.take_first_n(corpus.parse_reviews(cfg.data_path), cfg.first_n)
     if not records:
@@ -250,7 +266,7 @@ def cmd_ingest(cfg: RunConfig, force: bool) -> int:
         max_vocab=cfg.max_vocab, min_doc_freq=cfg.min_doc_freq, max_len=cfg.max_len,
         test_fraction=cfg.test_fraction, split_seed=cfg.base_seed,
     )
-    paths["corpus"].mkdir(parents=True, exist_ok=True)
+    _make_dir(paths["corpus"])
     corpus.save_bundle(bundle, paths["bundle"])
     stats_obj = {
         **asdict(stats), "n_train": len(train_idx), "n_test": len(test_idx),
@@ -275,19 +291,20 @@ def cmd_train(cfg: RunConfig, model_kind: str, force: bool) -> int:
     paths = _paths(cfg)
     kind = factorize.canonical_model_kind(model_kind)
     ckpt = _checkpoint_path(paths, kind)
-    _require_no_overwrite(ckpt, force)
+    loss_csv = paths["models"] / f"{kind}_loss.csv"
+    _check_outputs([ckpt, loss_csv], force)
+    _make_dir(paths["models"])
     bundle, options = _training_setup(cfg, paths, [kind])
     t0 = time.perf_counter()
     model = factorize.train(bundle, cfg.hyper_for(kind), verbose=True, **options)
     seconds = time.perf_counter() - t0
-    paths["models"].mkdir(parents=True, exist_ok=True)
     factorize.save_model(model, ckpt)
     lines = ["iteration,loss_after_user_update,loss_after_item_update,loss\n"]
     lines += [f"{it},{lu:.10e},{li:.10e},{le:.10e}\n"
               for it, (lu, li, le) in enumerate(zip(model.log.losses_after_user,
                                                     model.log.losses_after_item,
                                                     model.log.losses), start=1)]
-    serialize.write_text(paths["models"] / f"{kind}_loss.csv", "".join(lines))
+    serialize.write_text(loss_csv, "".join(lines))
     print(f"{kind}: {model.log.n_iterations()} outer iterations, "
           f"final loss {model.log.losses[-1]:.6e}, {seconds:.1f}s")
     print(f"checkpoint written to {ckpt}")
@@ -299,7 +316,8 @@ def cmd_evaluate(cfg: RunConfig, model_kind: str, clip: bool, force: bool) -> in
     kind = factorize.canonical_model_kind(model_kind)
     ckpt = _checkpoint_path(paths, kind)
     report = paths["reports"] / f"{kind}_eval.csv"
-    _require_no_overwrite(report, force)
+    _check_outputs([report], force)
+    _make_dir(paths["reports"])
     _require_file(ckpt, f"checkpoint not found at {ckpt}; run `biconvmf train --model {kind}` first")
     bundle = _load_bundle_or_fail(paths)
     model = factorize.load_model(ckpt)
@@ -313,7 +331,6 @@ def cmd_evaluate(cfg: RunConfig, model_kind: str, clip: bool, force: bool) -> in
         raise DataError(f"{ckpt} was trained on another split (its per-user or per-item "
                         f"training counts differ from {paths['bundle']}); retrain it")
     score, n_test = evaluate.evaluate_model(model, bundle, clip=clip)
-    paths["reports"].mkdir(parents=True, exist_ok=True)
     serialize.write_text(report, f"model,n_test,clip,rmse\n{kind},{n_test},{int(clip)},{score:.6f}\n")
     print(f"{kind}: test RMSE {score:.5f} over {n_test} ratings"
           + (" (clipped to [1, 5])" if clip else ""))
@@ -324,14 +341,13 @@ def cmd_compare(cfg: RunConfig, clip: bool, force: bool) -> int:
     paths = _paths(cfg)
     csv_path = paths["reports"] / "comparison.csv"
     plot_path = paths["reports"] / "comparison_plot.txt"
-    _require_no_overwrite(csv_path, force)
-    _require_no_overwrite(plot_path, force)
+    _check_outputs([csv_path, plot_path], force)
+    _make_dir(paths["reports"])
     bundle, options = _training_setup(cfg, paths, cfg.models)
     report = evaluate.run_experiment(
         bundle, [cfg.hyper_for(kind) for kind in cfg.models],
         n_runs=cfg.n_runs, base_seed=cfg.base_seed, clip=clip, verbose=True, **options,
     )
-    paths["reports"].mkdir(parents=True, exist_ok=True)
     serialize.write_text(csv_path, report.to_csv())
     serialize.write_text(plot_path, report.to_plot_data())
     print()

@@ -347,10 +347,12 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     def start_side(docs, lens, lam, weight_decay, fit_losses, want_cnn, cnn_ss) -> _Side:
         if not want_cnn:
             return _Side(docs, lens, lam, weight_decay, fit_losses, None, None)
-        cnn = textcnn.init_cnn_params(
-            cnn_config, bundle.vocab.size, cnn_ss,
-            embedding=pretrained_embedding if kind == "BiConvMF+" else None,
-            embedding_trainable=pretrained_trainable if kind == "BiConvMF+" else None)
+        if kind == "BiConvMF+":   # stays float64, as its pretrained table
+            cnn = textcnn.init_cnn_params(cnn_config, bundle.vocab.size, cnn_ss,
+                                          embedding=pretrained_embedding,
+                                          embedding_trainable=pretrained_trainable)
+        else:   # a fresh CNN trains in float32 (textcnn module docstring)
+            cnn = textcnn.init_cnn_params(cnn_config, bundle.vocab.size, cnn_ss).astype(np.float32)
         return _Side(docs, lens, lam, weight_decay, fit_losses, cnn,
                      textcnn.forward_many(cnn, docs, lens))
 

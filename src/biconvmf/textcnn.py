@@ -3,8 +3,15 @@
 Architecture: embedding lookup -> parallel convolutions over several window
 widths -> tanh -> max-over-time pooling -> dropout (training only) -> linear
 projection to the latent dimension.  Forward, loss, and gradients are written
-directly in numpy (float64) so the gradients can be checked against central
-finite differences.
+directly in numpy so the gradients can be checked against central finite
+differences.
+
+Precision: every array a pass computes takes the dtype of the params it is
+given (CnnParams.dtype), and every loss it reports is summed in float64.
+factorize.train rounds its freshly drawn CNNs to float32, which halves the
+bytes each GEMM, im2col gather and pooling pass moves.  A BiConvMF+ CNN keeps
+the float64 of its pretrained table, and float64 params compute in float64
+throughout; the gradients are checked against finite differences there.
 
 Packed layout: a document with true_len non-pad tokens is convolved over its
 first max(true_len, max window size) positions, and a batch keeps only those
@@ -157,9 +164,21 @@ class CnnParams:
         """The weight-decayed arrays (biases excluded), in decay order."""
         return [self.proj, *self.filters] + ([self.embedding] if self.embedding_trainable else [])
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype every pass over these params computes in."""
+        return self.proj.dtype
+
+    def astype(self, dtype) -> "CnnParams":
+        """A copy with every array in dtype."""
+        return replace(self, embedding=self.embedding.astype(dtype),
+                       filters=[f.astype(dtype) for f in self.filters],
+                       filter_biases=[b.astype(dtype) for b in self.filter_biases],
+                       proj=self.proj.astype(dtype), proj_bias=self.proj_bias.astype(dtype))
+
     def weight_sqnorm(self) -> float:
-        """Squared L2 norm of the decayed weights."""
-        proj, *rest = [float((w ** 2).sum()) for w in self.decayed()]
+        """Squared L2 norm of the decayed weights, summed in float64."""
+        proj, *rest = [float(np.square(w, dtype=np.float64).sum()) for w in self.decayed()]
         n = len(self.filters)
         # summed as (proj + filters) + embedding, so logged losses keep their bits
         return proj + sum(rest[:n]) + sum(rest[n:])
@@ -219,7 +238,7 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
     tokens = docs[np.arange(docs.shape[1]) < eff[:, None]]          # documents back to back
     doc_start = np.cumsum(eff) - eff
     e = params.embedding[tokens]                                    # (n_tokens, p)
-    pooled = np.empty((docs.shape[0], cfg.total_filters))
+    pooled = np.empty((docs.shape[0], cfg.total_filters), params.dtype)
     argmaxes, starts, windows = [], [], []
     for wi, w in enumerate(cfg.window_sizes):
         n_win = eff - w + 1
@@ -267,7 +286,8 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
     d_pooled *= 1.0 - cache["pooled"] ** 2              # through tanh at each max
     tokens = cache["tokens"]
     trainable = params.embedding_trainable
-    d_e = np.zeros((len(tokens), cfg.embedding_dim)) if trainable else None  # per packed token
+    dtype = params.dtype
+    d_e = np.zeros((len(tokens), cfg.embedding_dim), dtype) if trainable else None  # per packed token
     g_filters, g_biases = [], []
     for wi, w in enumerate(cfg.window_sizes):
         start = cache["starts"][wi]
@@ -275,7 +295,7 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
         d_pre_vals = d_pooled[:, wi * nf:(wi + 1) * nf]
         # Dense (windows, n_filters) gradient that is zero except at each
         # filter's argmax window; turns the scatter into plain GEMMs.
-        d_pre = np.zeros((len(start), nf))
+        d_pre = np.zeros((len(start), nf), dtype)
         d_pre[cache["argmaxes"][wi], np.arange(nf)] = d_pre_vals
         g_filters.append((d_pre.T @ x).reshape(nf, w, -1))
         g_biases.append(d_pre_vals.sum(axis=0))
@@ -285,8 +305,12 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
                 d_e[start + a] += d_x[:, a]
     g_emb = None
     if trainable:
-        g_emb = np.zeros_like(params.embedding)
-        np.add.at(g_emb, tokens, d_e)
+        # one bin per (token, column), filled in token order from 0.0 as
+        # np.add.at would, but summed in float64 and rounded once
+        p = cfg.embedding_dim
+        bins = (tokens.astype(np.intp)[:, None] * p + np.arange(p)).ravel()
+        g_emb = np.bincount(bins, weights=d_e.ravel(), minlength=params.embedding.size)
+        g_emb = g_emb.reshape(params.embedding.shape).astype(dtype, copy=False)
         g_emb[0] = 0.0  # padding row never trains
     return replace(params, embedding=g_emb, filters=g_filters, filter_biases=g_biases,
                    proj=g_proj, proj_bias=g_proj_bias)
@@ -298,7 +322,7 @@ def forward_many(params: CnnParams, docs: np.ndarray, lens: np.ndarray) -> np.nd
     docs = np.asarray(docs)
     lens = np.asarray(lens)
     _check_docs(params.config, docs, lens)
-    out = np.empty((docs.shape[0], params.config.output_dim))
+    out = np.empty((docs.shape[0], params.config.output_dim), params.dtype)
     for start in range(0, docs.shape[0], ENCODE_CHUNK):
         sel = slice(start, start + ENCODE_CHUNK)
         out[sel], _ = _forward_batch(params, docs[sel], lens[sel], None, want_cache=False)
@@ -311,10 +335,16 @@ def _loss_and_grads(params: CnnParams, docs, lens, targets, target_weight,
 
     loss = (target_weight/2) * mean ||t_i - cnn(doc_i)||^2
          + (weight_decay/2) * ||W||^2          (biases excluded)
+
+    The mask and d(loss)/d(out) are cast to the params' dtype, so that no
+    float64 operand upcasts a float32 pass.
     """
+    if dropout_mask is not None:
+        dropout_mask = dropout_mask.astype(params.dtype, copy=False)
     out, cache = _forward_batch(params, docs, lens, dropout_mask, want_cache=True)
     loss = _objective(params, out, targets, target_weight, weight_decay)
-    grads = _backward_batch(params, cache, (target_weight / docs.shape[0]) * (out - targets))
+    d_out = (target_weight / docs.shape[0]) * (out - targets)
+    grads = _backward_batch(params, cache, d_out.astype(params.dtype, copy=False))
     if weight_decay != 0.0:
         for g, w in zip(grads.decayed(), params.decayed()):
             g += weight_decay * w
@@ -323,7 +353,8 @@ def _loss_and_grads(params: CnnParams, docs, lens, targets, target_weight,
 
 def _objective(params: CnnParams, outputs, targets, target_weight, weight_decay) -> float:
     """Mean per-document fit loss of given encodings, plus weight decay."""
-    data = 0.5 * target_weight * float(((outputs - targets) ** 2).sum()) / outputs.shape[0]
+    diff = np.subtract(outputs, targets, dtype=np.float64)
+    data = 0.5 * target_weight * float((diff ** 2).sum()) / outputs.shape[0]
     return data + 0.5 * weight_decay * params.weight_sqnorm()
 
 
@@ -336,6 +367,16 @@ def mean_loss(params: CnnParams, docs, lens, targets, target_weight,
                       target_weight, weight_decay), out
 
 
+def _rmsprop_step(params: CnnParams, caches: list[np.ndarray], grads: CnnParams,
+                  learning_rate: float) -> None:
+    """One in-place RMSprop update of params' trainable arrays; caches hold
+    the running means of their squared gradients, in the same order."""
+    for slot, cache, g in zip(params.trainable(), caches, grads.trainable()):
+        cache *= RMSPROP_DECAY
+        cache += (1.0 - RMSPROP_DECAY) * g * g
+        slot -= learning_rate * g / (np.sqrt(cache) + RMSPROP_EPSILON)
+
+
 def fit_to_targets(params: CnnParams, docs, lens, targets,
                    target_weight: float, weight_decay: float,
                    optimizer: OptimizerConfig | None = None,
@@ -343,10 +384,11 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
                    ) -> tuple[CnnParams, float, np.ndarray]:
     """Fit the encoder to per-document target vectors.
 
-    Runs seeded mini-batch RMSprop with dropout on the pooled features.  The
-    input params are not mutated; the returned params are the best seen by
-    mean loss (dropout disabled) after each epoch, so the result is never
-    worse than the starting point on the given data.
+    Runs seeded mini-batch RMSprop with dropout on the pooled features, in the
+    params' dtype, RMSprop caches included.  The input params are not mutated;
+    the returned params are the best seen by mean loss (dropout disabled)
+    after each epoch, so the result is never worse than the starting point on
+    the given data.
 
     start_outputs must equal forward_many(params, docs, lens): the caller has
     these encodings already, so the start is scored without another pass.
@@ -389,10 +431,7 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
                     f"non-finite batch loss (epoch {epoch + 1}, batch {bi}, "
                     f"learning_rate {cfg.learning_rate})"
                 )
-            for slot, cache, g in zip(current.trainable(), caches, grads.trainable()):
-                cache *= RMSPROP_DECAY
-                cache += (1.0 - RMSPROP_DECAY) * g * g
-                slot -= cfg.learning_rate * g / (np.sqrt(cache) + RMSPROP_EPSILON)
+            _rmsprop_step(current, caches, grads, cfg.learning_rate)
         cur, outputs = mean_loss(current, docs, lens, targets, target_weight, weight_decay)
         if cur < best_loss:
             best, best_loss, best_outputs = current.copy(), cur, outputs

@@ -539,6 +539,57 @@ def test_input_path_that_is_a_directory_is_data_error(tmp_path, review_file, cap
     assert f"cannot read {directory}: Is a directory" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("blocked", ["out-dir-is-a-file", "output-is-a-directory"])
+@pytest.mark.parametrize("argv, output", [
+    (["ingest"], "corpus/bundle.bcmf"),
+    (["train", "--model", "PMF"], "models/PMF.ckpt"),
+    (["evaluate", "--model", "PMF"], "reports/PMF_eval.csv"),
+    (["compare"], "reports/comparison.csv"),
+], ids=["ingest", "train", "evaluate", "compare"])
+def test_unwritable_output_path_is_config_error_before_any_work(
+        tmp_path, review_file, capsys, monkeypatch, argv, output, blocked):
+    from biconvmf import factorize
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, review_file, out)
+    if blocked == "out-dir-is-a-file":
+        out.write_text("")
+        named = out
+    else:
+        # every input the command reads is in place; only its output is blocked
+        for command in (["ingest"], ["train", "--model", "PMF"]):
+            assert main([*command, "--config", str(cfg)]) == EXIT_OK
+        named = out / output
+        named.unlink(missing_ok=True)
+        named.mkdir(parents=True, exist_ok=True)
+    trained = []
+    monkeypatch.setattr(factorize, "train", lambda *args, **kwargs: trained.append(args))
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg), "--force"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{named} is " in err and "Traceback" not in err
+    assert trained == []
+
+
+def test_checkpoint_with_float64_cnns_still_evaluates(tmp_path, review_file):
+    # checkpoints written before the CNNs trained in float32 hold float64 arrays
+    from biconvmf import factorize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    for command in (["ingest"], ["train", "--model", "BiConvMF"], ["evaluate", "--model", "BiConvMF"]):
+        assert main([*command, "--config", str(cfg)]) == EXIT_OK
+    ckpt = tmp_path / "out/models/BiConvMF.ckpt"
+    report = tmp_path / "out/reports/BiConvMF_eval.csv"
+    scored = report.read_bytes()
+    model = factorize.load_model(ckpt)
+    assert model.cnn_user.proj.dtype == model.cnn_item.proj.dtype == np.float32
+    model.cnn_user, model.cnn_item = model.cnn_user.astype(np.float64), model.cnn_item.astype(np.float64)
+    factorize.save_model(model, ckpt)
+    back = factorize.load_model(ckpt)
+    for cnn in (back.cnn_user, back.cnn_item):   # a fresh CNN trains every array
+        assert {a.dtype for a in cnn.trainable()} == {np.dtype(np.float64)}
+    assert main(["evaluate", "--config", str(cfg), "--model", "BiConvMF", "--force"]) == EXIT_OK
+    assert report.read_bytes() == scored
+
+
 @pytest.mark.parametrize("section, key, raw, model", [
     ("model.PMF", "lambda_user", "nan", "PMF"), ("model.PMF", "lambda_item", "inf", "PMF"),
     ("factorization", "weight_decay", "nan", "PMF"), ("cnn", "learning_rate", "inf", "ConvMF"),

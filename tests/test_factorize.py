@@ -338,6 +338,44 @@ def test_biconvmf_plus_uses_frozen_pretrained_table(tiny_bundle):
     assert np.array_equal(model.cnn_item.embedding, table)
 
 
+def test_fresh_cnns_train_in_float32_throughout(tiny_bundle, monkeypatch):
+    # every array the fit computes, not only the params it returns: a float64
+    # operand upcasting a pass would still round back into float32 params
+    seen = []
+
+    def record(name, arrays_of):
+        fn = getattr(textcnn, name)
+
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen.extend((name, a.dtype) for a in arrays_of(args, result))
+            return result
+        monkeypatch.setattr(textcnn, name, wrapper)
+
+    def forward_arrays(args, result):
+        out, cache = result
+        if cache is None:
+            return [out]
+        return [out, cache["pooled"], cache["dropped"], cache["dropout_mask"], *cache["windows"]]
+
+    record("_forward_batch", forward_arrays)
+    record("_backward_batch", lambda args, result: [args[2], *result.trainable()])
+    record("_rmsprop_step", lambda args, result: [*args[0].trainable(), *args[1]])
+    record("forward_many", lambda args, result: [result])
+    record("fit_to_targets", lambda args, result: [*result[0].trainable(), result[2]])
+    cfg = textcnn.CnnConfig(max_len=tiny_bundle.max_len, embedding_dim=8,
+                            output_dim=4, window_sizes=(2, 3), n_filters=4, dropout_rate=0.2)
+    model = factorize.train(tiny_bundle, Hyperparams.for_model("BiConvMF", n_factors=4, outer_iters=2),
+                            cnn_config=cfg, optimizer=textcnn.OptimizerConfig(epochs=1, batch_size=32))
+    assert {name for name, _ in seen} == {"_forward_batch", "_backward_batch", "_rmsprop_step",
+                                          "forward_many", "fit_to_targets"}
+    assert [(name, dtype) for name, dtype in seen if dtype != np.float32] == []
+    for cnn in (model.cnn_user, model.cnn_item):   # a fresh CNN trains every array
+        assert cnn.embedding_trainable and {a.dtype for a in cnn.trainable()} == {np.dtype(np.float32)}
+    assert all(type(loss) is float for loss in model.log.fit_losses_user + model.log.losses)
+    assert model.user_factors.dtype == model.item_factors.dtype == np.float64
+
+
 def test_train_same_seed_bitwise_identical(tiny_bundle):
     cfg = textcnn.CnnConfig(max_len=tiny_bundle.max_len, embedding_dim=8,
                             output_dim=4, window_sizes=(2, 3), n_filters=4,

@@ -198,6 +198,32 @@ def test_multi_document_gradient_matches_finite_differences():
     assert gradcheck.max_relative_error(*mixed_batch()) < 1e-4
 
 
+def test_float32_loss_terms_sum_in_float64():
+    # float32 squares and differences are exact in float64, so the two agree bit for bit
+    params = textcnn.init_cnn_params(tiny_config(), 9, seed=3).astype(np.float32)
+    wide = params.astype(np.float64)
+    assert params.weight_sqnorm() == wide.weight_sqnorm()
+    rng = np.random.default_rng(4)
+    out, targets = rng.normal(0, 1, (2, 50, 3)).astype(np.float32)
+    assert (textcnn._objective(params, out, targets, 2.0, 0.1)
+            == textcnn._objective(wide, out.astype(np.float64), targets.astype(np.float64), 2.0, 0.1))
+
+
+@pytest.mark.parametrize("case", [*range(22), "mixed"])
+def test_float32_gradients_match_float64_at_the_same_params(case):
+    # float64 gradients are the finite-difference-checked oracle; float32 ones
+    # of the same (float32-representable) params must agree to float32 accuracy
+    params, *rest = mixed_batch() if case == "mixed" else gradcheck.random_case(case)
+    p32 = params.astype(np.float32)
+    loss32, g32 = textcnn._loss_and_grads(p32, *rest)
+    loss64, g64 = textcnn._loss_and_grads(p32.astype(np.float64), *rest)
+    tol = 1000 * np.finfo(np.float32).eps
+    assert type(loss32) is float and loss32 == pytest.approx(loss64, rel=tol, abs=1e-12)
+    for a, b in zip(g32.trainable(), g64.trainable(), strict=True):
+        assert a.dtype == np.float32 and b.dtype == np.float64
+        np.testing.assert_allclose(a, b, rtol=0, atol=tol * max(np.abs(b).max(), 1e-12))
+
+
 def test_permuting_the_batch_permutes_outputs_and_keeps_gradients():
     params, docs, lens, targets, weight, decay, mask = mixed_batch()
     perm = np.array([3, 0, 5, 2, 1, 4])
