@@ -324,12 +324,9 @@ def cmd_evaluate(cfg: RunConfig, model_kind: str, clip: bool, force: bool) -> in
     if model.user_ids != bundle.user_ids or model.item_ids != bundle.item_ids:
         raise DataError(f"{ckpt} was trained on another corpus (its user or item ids differ "
                         f"from {paths['bundle']}); retrain it")
-    if not (np.array_equal(model.user_train_counts,
-                           np.bincount(bundle.train_user_idx, minlength=bundle.n_users))
-            and np.array_equal(model.item_train_counts,
-                               np.bincount(bundle.train_item_idx, minlength=bundle.n_items))):
-        raise DataError(f"{ckpt} was trained on another split (its per-user or per-item "
-                        f"training counts differ from {paths['bundle']}); retrain it")
+    if model.train_digest != bundle.train_digest():
+        raise DataError(f"{ckpt} was trained on another split (its training triplets "
+                        f"differ from {paths['bundle']}'s); retrain it")
     score, n_test = evaluate.evaluate_model(model, bundle, clip=clip)
     serialize.write_text(report, f"model,n_test,clip,rmse\n{kind},{n_test},{int(clip)},{score:.6f}\n")
     print(f"{kind}: test RMSE {score:.5f} over {n_test} ratings"

@@ -20,6 +20,7 @@ maximal [a-z0-9] runs, no stemming and no stopword list.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import re
@@ -317,6 +318,15 @@ class CorpusBundle:
     @property
     def n_items(self) -> int:
         return len(self.item_ids)
+
+    def train_digest(self) -> str:
+        """SHA-256 of the training triplets, in order: a checkpoint records
+        it, so that evaluate can tell the split a model was trained on."""
+        h = hashlib.sha256()
+        for arr, dtype in ((self.train_user_idx, np.int64), (self.train_item_idx, np.int64),
+                           (self.train_ratings, np.float64)):
+            h.update(np.ascontiguousarray(arr, dtype).tobytes())
+        return h.hexdigest()
 
 
 def build_bundle(records: list[ReviewRecord], train_idx, test_idx,

@@ -42,7 +42,7 @@ DEFAULT_LAMBDAS = {
 }
 
 MODEL_MAGIC = b"BCMFMODL"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # 2: meta records train_digest; version-1 files are refused
 
 
 def canonical_model_kind(name: str) -> str:
@@ -250,6 +250,7 @@ class TrainedModel:
     item_means: np.ndarray         # per-item training mean; global mean where unrated
     user_train_counts: np.ndarray
     item_train_counts: np.ndarray
+    train_digest: str              # CorpusBundle.train_digest() of the bundle it trained on
     log: TrainLog
 
     def __post_init__(self):
@@ -415,7 +416,7 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
         cnn_user=user.cnn, cnn_item=item.cnn,
         global_mean=global_mean, item_means=item_means,
         user_train_counts=user_counts, item_train_counts=item_counts,
-        log=log,
+        train_digest=bundle.train_digest(), log=log,
     )
 
 
@@ -424,4 +425,6 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """A saved model.  A version-1 file is refused (UnsupportedVersionError):
+    it records no train_digest, so evaluate could not check its split."""
     return serialize.load(TrainedModel, path)

@@ -21,7 +21,14 @@ window reads the next document; windows that overlap the end of a short
 document see its all-zero pad rows.  Max-over-time pooling runs over each
 document's own windows.  The output therefore never depends on how much
 trailing padding a document carries, and an empty document still pools over
-at least one window per width.
+at least one window per width.  Row s of a read-only strided view of the m
+packed embedding rows is the window starting at token s, flattened, so a
+width's im2col block is one row gather of its window starts.  The backward
+puts each max's gradient on the token its window starts at, and offset a of
+every window reaches its token through one shifted slice,
+d_e[a:] += d_tok[:m-a] @ filters[:, a].  Each token receives the same terms
+in the same order as a per-window scatter of the (windows, w*p) input
+gradient would give it, so the gradients are bitwise those of that scatter.
 
 Pooling order: the raw convolution (no bias) is max-pooled first, and the
 bias and tanh are applied to the (batch, n_filters) maxima only; both are
@@ -38,6 +45,11 @@ to keep HEAP_TOP_PAD bytes at the heap top.  Setting it also freezes glibc's
 otherwise adaptive mmap threshold, so that threshold is pinned at its
 adaptive ceiling, MMAP_THRESHOLD; larger blocks are mmapped as before.
 Where the C library has no mallopt, or refuses these values, nothing changes.
+The im2col blocks are the largest temporaries (about 48 MB per batch in
+float32 at embedding width 200, windows 3/4/5 and 128 documents of about 40
+tokens), so the backward releases each block from the cache once its filter
+gradient is taken, and keeps no (windows, w*p) input gradient; a batch's
+temporaries then stay within the kept heap top.
 """
 
 from __future__ import annotations
@@ -234,32 +246,39 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
     """
     cfg = params.config
     nf = cfg.n_filters
+    batch = docs.shape[0]
     eff = np.maximum(lens.astype(np.int64), max(cfg.window_sizes))  # convolved lengths
     tokens = docs[np.arange(docs.shape[1]) < eff[:, None]]          # documents back to back
     doc_start = np.cumsum(eff) - eff
     e = params.embedding[tokens]                                    # (n_tokens, p)
-    pooled = np.empty((docs.shape[0], cfg.total_filters), params.dtype)
+    pooled = np.empty((batch, cfg.total_filters), params.dtype)
     argmaxes, starts, windows = [], [], []
     for wi, w in enumerate(cfg.window_sizes):
         n_win = eff - w + 1
         first = np.cumsum(n_win) - n_win                # each document's first window row
         n = int(n_win.sum())
         start = np.arange(n) + np.repeat(doc_start - first, n_win)  # window -> first token
-        # im2col: row r holds the window e[start[r]:start[r]+w] flattened, so the
-        # whole convolution is one GEMM against the flattened filter bank
-        x = e[start[:, None] + np.arange(w)].reshape(n, -1)
-        # (n_filters, windows) view of a window-major GEMM: filters @ x.T is as
-        # fast but rounds differently, moving fitted weights by up to ~1e-12
-        conv = (x @ params.filters[wi].reshape(nf, -1).T).T
-        top = np.maximum.reduceat(conv, first, axis=1)           # (n_filters, batch)
-        pooled[:, wi * nf:(wi + 1) * nf] = np.tanh(top.T + params.filter_biases[wi])
+        # im2col: row s of this read-only view of e is e[s:s+w] flattened, so
+        # a width's block is one row gather and its convolution one GEMM
+        rows = np.lib.stride_tricks.as_strided(e, (len(e) - w + 1, w * e.shape[1]),
+                                               e.strides, writeable=False)
+        x = rows[start]
+        # window-major GEMM: filters @ x.T is as fast but rounds differently,
+        # moving fitted weights by up to ~1e-12
+        conv = x @ params.filters[wi].reshape(nf, -1).T    # (windows, n_filters)
+        top = np.maximum.reduceat(conv, first)             # (batch, n_filters)
+        pooled[:, wi * nf:(wi + 1) * nf] = np.tanh(top + params.filter_biases[wi])
         if want_cache:
-            # Each (filter, document)'s first window reaching its max is the
-            # first hit at or after the document's first window in the
-            # filter's row; a NaN max makes every window a hit.
-            hits = np.flatnonzero(~(conv < np.repeat(top, n_win, axis=1)))
-            row_starts = np.arange(nf)[:, None] * n + first
-            argmaxes.append((hits[np.searchsorted(hits, row_starts)] % n).T)
+            # Hits are the windows reaching their document's max (every window,
+            # for a NaN max), listed filter-major.  A (filter, document)'s
+            # first hit is the one whose segment differs from the previous hit's.
+            hit = ~(conv < np.repeat(top, n_win, axis=0))
+            f, r = np.divmod(np.flatnonzero(hit.T), n)
+            seg = f * batch + np.repeat(np.arange(batch), n_win)[r]
+            new_seg = np.empty(len(seg), bool)
+            new_seg[0] = True
+            np.not_equal(seg[1:], seg[:-1], out=new_seg[1:])
+            argmaxes.append(r[new_seg].reshape(nf, batch).T)
             starts.append(start)
             windows.append(x)
     dropped = pooled if dropout_mask is None else pooled * dropout_mask
@@ -275,7 +294,8 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
 
 
 def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnParams:
-    """Gradients of the cached forward pass, given the upstream d(loss)/d(out)."""
+    """Gradients of the cached forward pass, given the upstream d(loss)/d(out).
+    Releases the cache's im2col blocks as it goes, so a cache serves once."""
     cfg = params.config
     nf = cfg.n_filters
     g_proj = cache["dropped"].T @ d_out
@@ -287,22 +307,28 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
     tokens = cache["tokens"]
     trainable = params.embedding_trainable
     dtype = params.dtype
-    d_e = np.zeros((len(tokens), cfg.embedding_dim), dtype) if trainable else None  # per packed token
+    m = len(tokens)
+    d_e = np.zeros((m, cfg.embedding_dim), dtype) if trainable else None  # per packed token
     g_filters, g_biases = [], []
     for wi, w in enumerate(cfg.window_sizes):
-        start = cache["starts"][wi]
-        x = cache["windows"][wi]                        # (windows, w*p) im2col block
+        start, argmax = cache["starts"][wi], cache["argmaxes"][wi]
         d_pre_vals = d_pooled[:, wi * nf:(wi + 1) * nf]
         # Dense (windows, n_filters) gradient that is zero except at each
         # filter's argmax window; turns the scatter into plain GEMMs.
         d_pre = np.zeros((len(start), nf), dtype)
-        d_pre[cache["argmaxes"][wi], np.arange(nf)] = d_pre_vals
+        d_pre[argmax, np.arange(nf)] = d_pre_vals
+        # the (windows, w*p) im2col block, released once used (module docstring)
+        x, cache["windows"][wi] = cache["windows"][wi], None
         g_filters.append((d_pre.T @ x).reshape(nf, w, -1))
+        del x
         g_biases.append(d_pre_vals.sum(axis=0))
         if trainable:
-            d_x = (d_pre @ params.filters[wi].reshape(nf, -1)).reshape(len(start), w, -1)
-            for a in range(w):  # window starts are distinct, so each offset is one scatter
-                d_e[start + a] += d_x[:, a]
+            # each max's gradient on the token its window starts at; offset a
+            # of a window starting at token s feeds token s + a
+            d_tok = np.zeros((m, nf), dtype)
+            d_tok[start[argmax], np.arange(nf)] = d_pre_vals
+            for a in range(w):
+                d_e[a:] += d_tok[:m - a] @ params.filters[wi][:, a, :]
     g_emb = None
     if trainable:
         # one bin per (token, column), filled in token order from 0.0 as

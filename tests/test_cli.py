@@ -158,6 +158,44 @@ def test_evaluate_refuses_checkpoint_from_another_split(tmp_path, review_file, c
     assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
 
 
+def test_evaluate_refuses_a_resplit_that_keeps_every_training_count(tmp_path, review_file, capsys):
+    # swap the items of two training ratings: every user and every item keeps
+    # its training count, but the split is not the one the model saw
+    from biconvmf import corpus
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    path = tmp_path / "out/corpus/bundle.bcmf"
+    bundle = corpus.load_bundle(path)
+    users, items = bundle.train_user_idx, bundle.train_item_idx
+    j = int(np.flatnonzero((users != users[0]) & (items != items[0]))[0])
+    items[[0, j]] = items[[j, 0]]
+    corpus.save_bundle(bundle, path)
+    assert main(["evaluate", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
+    assert "another split" in capsys.readouterr().err
+    assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
+
+
+def test_version_1_checkpoint_is_refused(tmp_path, review_file, capsys):
+    # a version-1 checkpoint records no training digest, so no split check
+    # could pass it: it is refused, to be retrained
+    from biconvmf import factorize, serialize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    ckpt = tmp_path / "out/models/PMF.ckpt"
+    _, sections = serialize.read_container(ckpt, factorize.MODEL_MAGIC, (factorize.MODEL_VERSION,))
+    meta = json.loads(sections["meta"])
+    del meta["train_digest"]
+    sections["meta"] = serialize.json_to_bytes(meta)
+    serialize.write_container(ckpt, factorize.MODEL_MAGIC, 1, sections)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "unsupported container version 1" in err and "Traceback" not in err
+    assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
+
+
 def test_evaluate_refuses_checkpoint_from_another_corpus(tmp_path, review_file, capsys):
     cfg = write_config(tmp_path, review_file, tmp_path / "out")
     assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
@@ -348,11 +386,11 @@ def test_evaluate_refuses_checkpoint_missing_meta_key(tmp_path, review_file, cap
     assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
     assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
     ckpt = tmp_path / "out/models/PMF.ckpt"
-    _, sections = serialize.read_container(ckpt, factorize.MODEL_MAGIC, (1,))
+    _, sections = serialize.read_container(ckpt, factorize.MODEL_MAGIC, (factorize.MODEL_VERSION,))
     meta = json.loads(sections["meta"])
     del meta["log"]
     sections["meta"] = serialize.json_to_bytes(meta)
-    serialize.write_container(ckpt, factorize.MODEL_MAGIC, 1, sections)
+    serialize.write_container(ckpt, factorize.MODEL_MAGIC, factorize.MODEL_VERSION, sections)
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
     err = capsys.readouterr().err
@@ -478,12 +516,14 @@ def test_corrupt_array_section_is_data_error(tmp_path, review_file, capsys,
     assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
     assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
     bundle = corpus.load_bundle(tmp_path / "out/corpus/bundle.bcmf")
-    path, magic = {"bundle": (tmp_path / "out/corpus/bundle.bcmf", corpus.BUNDLE_MAGIC),
-                   "model": (tmp_path / "out/models/PMF.ckpt", factorize.MODEL_MAGIC)}[kind]
-    _, sections = serialize.read_container(path, magic, (1,))
+    path, magic, version = {
+        "bundle": (tmp_path / "out/corpus/bundle.bcmf", corpus.BUNDLE_MAGIC, corpus.BUNDLE_VERSION),
+        "model": (tmp_path / "out/models/PMF.ckpt", factorize.MODEL_MAGIC, factorize.MODEL_VERSION),
+    }[kind]
+    _, sections = serialize.read_container(path, magic, (version,))
     arr = serialize.array_from_bytes(sections[section], section)
     sections[section] = serialize.array_to_bytes(edit(arr, bundle))
-    serialize.write_container(path, magic, 1, sections)
+    serialize.write_container(path, magic, version, sections)
     capsys.readouterr()
     assert main([*argv, "--config", str(cfg), "--force"]) == EXIT_DATA
     err = capsys.readouterr().err

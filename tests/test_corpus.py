@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,6 +280,19 @@ def test_bundle_roundtrip_bitwise(tmp_path, tiny_bundle):
     assert back.stats == tiny_bundle.stats
     corpus.save_bundle(back, tmp_path / "again.bcmf")
     assert (tmp_path / "again.bcmf").read_bytes() == path.read_bytes()
+
+
+def test_train_digest_follows_the_triplets_not_their_dtype(tmp_path, tiny_bundle):
+    digest = tiny_bundle.train_digest()
+    corpus.save_bundle(tiny_bundle, tmp_path / "bundle.bcmf")
+    assert corpus.load_bundle(tmp_path / "bundle.bcmf").train_digest() == digest
+    wide = replace(tiny_bundle, train_user_idx=tiny_bundle.train_user_idx.astype(np.int64))
+    assert wide.train_digest() == digest
+    # two ratings trade items: every training count stays, the digest does not
+    users, items = tiny_bundle.train_user_idx, tiny_bundle.train_item_idx.copy()
+    j = int(np.flatnonzero((users != users[0]) & (items != items[0]))[0])
+    items[[0, j]] = items[[j, 0]]
+    assert replace(tiny_bundle, train_item_idx=items).train_digest() != digest
 
 
 @pytest.mark.parametrize("edit, message", [

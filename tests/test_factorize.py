@@ -464,6 +464,7 @@ def make_predictable_model():
         item_means=np.array([4.5, 3.7]),
         user_train_counts=np.array([2, 0]),
         item_train_counts=np.array([2, 0]),
+        train_digest="",
         log=factorize.TrainLog(),
     )
 
@@ -536,12 +537,19 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path, tiny_bundle):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
+def test_checkpoint_records_the_training_split_digest(tmp_path, tiny_bundle):
+    model = trained_tiny_model(tiny_bundle)
+    assert model.train_digest == tiny_bundle.train_digest()
+    factorize.save_model(model, tmp_path / "model.ckpt")
+    assert factorize.load_model(tmp_path / "model.ckpt").train_digest == model.train_digest
+
+
 def edit_checkpoint(path, edit):
-    _, sections = serialize.read_container(path, factorize.MODEL_MAGIC, (1,))
+    _, sections = serialize.read_container(path, factorize.MODEL_MAGIC, (factorize.MODEL_VERSION,))
     meta = json.loads(sections["meta"])
     edit(meta, sections)
     sections["meta"] = serialize.json_to_bytes(meta)
-    serialize.write_container(path, factorize.MODEL_MAGIC, 1, sections)
+    serialize.write_container(path, factorize.MODEL_MAGIC, factorize.MODEL_VERSION, sections)
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -269,6 +269,14 @@ def reference_pooling(params, docs, lens):
     return np.hstack(pooled), argmaxes
 
 
+def make_dyadic(params, rng):
+    """Set the embedding, filters and filter biases to multiples of 1/8 in place."""
+    params.embedding[1:] = rng.integers(-3, 4, params.embedding[1:].shape) / 8
+    for f, b in zip(params.filters, params.filter_biases):
+        f[:] = rng.integers(-2, 3, f.shape) / 8
+        b[:] = rng.integers(-2, 3, b.shape) / 8
+
+
 def pooling_batch(dyadic):
     """Repeated n-grams, empty documents and documents shorter than the
     largest window.  With dyadic values every convolution is exact in any
@@ -277,11 +285,7 @@ def pooling_batch(dyadic):
     cfg = tiny_config(max_len=9, embedding_dim=3, window_sizes=(2, 4), n_filters=4)
     params = textcnn.init_cnn_params(cfg, 6, seed=111)
     if dyadic:
-        rng = np.random.default_rng(112)
-        params.embedding[1:] = rng.integers(-3, 4, params.embedding[1:].shape) / 8
-        for f, b in zip(params.filters, params.filter_biases):
-            f[:] = rng.integers(-2, 3, f.shape) / 8
-            b[:] = rng.integers(-2, 3, b.shape) / 8
+        make_dyadic(params, np.random.default_rng(112))
     rows = [[], [1, 2, 1, 2, 1, 2, 1, 2], [3], [4, 4, 4, 4, 4, 4], [5, 6], [],
             [2, 5, 2, 5, 2], [1, 2, 3, 4, 5, 6, 1, 2, 3], [6, 6, 6]]
     docs = np.zeros((len(rows), cfg.max_len), dtype=np.int32)
@@ -304,6 +308,88 @@ def test_pooling_and_argmax_match_per_document_loop(dyadic):
         n_win = eff - w + 1
         first = np.cumsum(n_win) - n_win
         np.testing.assert_array_equal(got - first[:, None], want)
+
+
+def scatter_reference_grads(params, docs, lens, targets, target_weight, weight_decay, mask):
+    """_loss_and_grads' gradients by the plain route: an element-gather
+    im2col, a searchsorted argmax, and the embedding gradient through the
+    (windows, w*p) input gradient, scattered offset by offset and summed per
+    token in float64 with np.add.at."""
+    cfg, dtype, nf = params.config, params.dtype, params.config.n_filters
+    eff = np.maximum(lens, max(cfg.window_sizes))
+    tokens = docs[np.arange(cfg.max_len) < eff[:, None]]
+    doc_start = np.cumsum(eff) - eff
+    e = params.embedding[tokens]
+    pooled = np.empty((len(docs), cfg.total_filters), dtype)
+    blocks = []
+    for wi, w in enumerate(cfg.window_sizes):
+        n_win = eff - w + 1
+        first = np.cumsum(n_win) - n_win
+        n = int(n_win.sum())
+        start = np.arange(n) + np.repeat(doc_start - first, n_win)
+        x = e[start[:, None] + np.arange(w)].reshape(n, -1)
+        conv = (x @ params.filters[wi].reshape(nf, -1).T).T
+        top = np.maximum.reduceat(conv, first, axis=1)
+        pooled[:, wi * nf:(wi + 1) * nf] = np.tanh(top.T + params.filter_biases[wi])
+        hits = np.flatnonzero(~(conv < np.repeat(top, n_win, axis=1)))
+        argmax = (hits[np.searchsorted(hits, np.arange(nf)[:, None] * n + first)] % n).T
+        blocks.append((start, x, argmax))
+    keep = np.ones_like(pooled) if mask is None else mask.astype(dtype)
+    dropped = pooled * keep
+    out = dropped @ params.proj + params.proj_bias
+    d_out = ((target_weight / len(docs)) * (out - targets)).astype(dtype)
+    d_pooled = d_out @ params.proj.T * keep * (1.0 - pooled ** 2)
+    d_e = np.zeros_like(e)
+    g_filters, g_biases = [], []
+    for wi, (w, (start, x, argmax)) in enumerate(zip(cfg.window_sizes, blocks)):
+        d_max = d_pooled[:, wi * nf:(wi + 1) * nf]
+        d_pre = np.zeros((len(start), nf), dtype)
+        d_pre[argmax, np.arange(nf)] = d_max
+        g_filters.append((d_pre.T @ x).reshape(nf, w, -1))
+        g_biases.append(d_max.sum(axis=0))
+        d_x = (d_pre @ params.filters[wi].reshape(nf, -1)).reshape(len(start), w, -1)
+        for a in range(w):
+            d_e[start + a] += d_x[:, a]
+    g_emb = None
+    if params.embedding_trainable:
+        g_emb = np.zeros(params.embedding.shape)
+        np.add.at(g_emb, tokens, d_e)
+        g_emb = g_emb.astype(dtype)
+        g_emb[0] = 0.0
+    grads = replace(params, embedding=g_emb, filters=g_filters, filter_biases=g_biases,
+                    proj=dropped.T @ d_out, proj_bias=d_out.sum(axis=0))
+    for g, w in zip(grads.decayed(), params.decayed()):
+        g += weight_decay * w
+    return grads
+
+
+@pytest.mark.parametrize("trainable", [True, False])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", ["pooling", "mixed"])
+def test_gradients_equal_the_per_offset_scatter_bitwise(batch, dtype, trainable):
+    # dyadic embedding and filters: every convolution is exact, so ties
+    # (repeated n-grams, empty documents) are real and both routes see them
+    if batch == "pooling":
+        params, docs, lens = pooling_batch(dyadic=True)
+        targets = np.random.default_rng(131).normal(0, 1, (len(lens), params.config.output_dim))
+        rest = (targets, 1.5, 0.01, None)
+    else:
+        params, docs, lens, *rest = mixed_batch()
+        make_dyadic(params, np.random.default_rng(132))
+    params = replace(params.astype(dtype), embedding_trainable=trainable)
+    _, grads = textcnn._loss_and_grads(params, docs, lens, *rest)
+    want = scatter_reference_grads(params, docs, lens, *rest)
+    assert (grads.embedding is None) == (not trainable)
+    for g, w in zip(grads.trainable(), want.trainable(), strict=True):
+        assert g.dtype == dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def test_gradients_match_the_per_offset_scatter_at_random_params():
+    args = mixed_batch()
+    _, grads = textcnn._loss_and_grads(*args)
+    for g, w in zip(grads.trainable(), scatter_reference_grads(*args).trainable(), strict=True):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
 
 
 def test_nan_filter_is_a_divergence_not_an_index_error():
@@ -439,6 +525,40 @@ def test_repeated_fit_reuses_its_scratch_memory():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     fit(params, docs, lens, targets, 1.0, 1e-4, opt, seed=124)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+@pytest.mark.skipif(not textcnn.HEAP_TOP_KEPT, reason="the C library has no mallopt")
+def test_repeated_fit_at_embedding_width_200_reuses_its_scratch_memory(monkeypatch):
+    # float32 im2col blocks of about 12, 16 and 20 MB per batch: the backward
+    # releases each one once used and keeps no (windows, w*p) input gradient,
+    # so its temporaries fit in the heap top kept from the batch before.
+    # Faults are counted inside the backward only: a per-offset scatter of
+    # that input gradient, with every block kept, took 1,600-3,600 there per
+    # fit, while the rest of the process can fault a few hundred either way.
+    resource = pytest.importorskip("resource")
+    cfg = CnnConfig(max_len=64, embedding_dim=200, window_sizes=(3, 4, 5), n_filters=64)
+    params = textcnn.init_cnn_params(cfg, 2000, seed=125).astype(np.float32)
+    rng = np.random.default_rng(126)
+    lens = rng.integers(16, cfg.max_len + 1, 512)
+    docs = np.zeros((512, cfg.max_len), dtype=np.int32)
+    for i, L in enumerate(lens):
+        docs[i, :L] = rng.integers(1, 2001, L)
+    targets = rng.normal(0, 1, (512, cfg.output_dim))
+    opt = OptimizerConfig(epochs=1)
+    faults = []
+    backward = textcnn._backward_batch
+
+    def counted(*args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        grads = backward(*args)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return grads
+
+    monkeypatch.setattr(textcnn, "_backward_batch", counted)
+    fit(params, docs, lens, targets, 1.0, 1e-4, opt, seed=127)
+    faults.clear()
+    fit(params, docs, lens, targets, 1.0, 1e-4, opt, seed=127)
+    assert len(faults) == 4 and sum(faults) < 300
 
 
 def test_frozen_embedding_does_not_move():
