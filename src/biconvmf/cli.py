@@ -228,21 +228,26 @@ def _require_file(path: Path, missing: str):
         raise DataError(f"cannot read {path}: {exc.strerror}" if path.exists() else missing) from None
 
 
-def _load_bundle_or_fail(paths) -> corpus.CorpusBundle:
+def _load_bundle_or_fail(paths, splits) -> corpus.CorpusBundle:
+    """The bundle, refused when one of the named splits ("train", "test") is empty."""
     _require_file(paths["bundle"],
                   f"corpus bundle not found at {paths['bundle']}; run `biconvmf ingest` first")
-    return corpus.load_bundle(paths["bundle"])
+    bundle = corpus.load_bundle(paths["bundle"])
+    for split in splits:
+        if len(getattr(bundle, f"{split}_ratings")) == 0:
+            raise DataError(f"{paths['bundle']} holds no {split} ratings")
+    return bundle
 
 
-def _training_setup(cfg: RunConfig, paths, kinds) -> tuple[corpus.CorpusBundle, dict]:
-    """The bundle, and factorize.train's keywords for training these model kinds.
+def _training_setup(cfg: RunConfig, paths, kinds, splits) -> tuple[corpus.CorpusBundle, dict]:
+    """The bundle, checked for these splits, and factorize.train's keywords for these kinds.
 
     BiConvMF+ without [cnn] pretrained_path is refused before the bundle is read.
     """
     plus = "BiConvMF+" in kinds
     if plus and cfg.pretrained_path is None:
         raise ConfigError("BiConvMF+ requires [cnn] pretrained_path in the config")
-    bundle = _load_bundle_or_fail(paths)
+    bundle = _load_bundle_or_fail(paths, splits)
     options = {"cnn_config": cfg.cnn_config(), "optimizer": cfg.optimizer(),
                "pretrained_trainable": cfg.pretrained_trainable}
     if plus:
@@ -294,7 +299,7 @@ def cmd_train(cfg: RunConfig, model_kind: str, force: bool) -> int:
     loss_csv = paths["models"] / f"{kind}_loss.csv"
     _check_outputs([ckpt, loss_csv], force)
     _make_dir(paths["models"])
-    bundle, options = _training_setup(cfg, paths, [kind])
+    bundle, options = _training_setup(cfg, paths, [kind], ["train"])
     t0 = time.perf_counter()
     model = factorize.train(bundle, cfg.hyper_for(kind), verbose=True, **options)
     seconds = time.perf_counter() - t0
@@ -319,7 +324,7 @@ def cmd_evaluate(cfg: RunConfig, model_kind: str, clip: bool, force: bool) -> in
     _check_outputs([report], force)
     _make_dir(paths["reports"])
     _require_file(ckpt, f"checkpoint not found at {ckpt}; run `biconvmf train --model {kind}` first")
-    bundle = _load_bundle_or_fail(paths)
+    bundle = _load_bundle_or_fail(paths, ["test"])
     model = factorize.load_model(ckpt)
     if model.user_ids != bundle.user_ids or model.item_ids != bundle.item_ids:
         raise DataError(f"{ckpt} was trained on another corpus (its user or item ids differ "
@@ -340,7 +345,7 @@ def cmd_compare(cfg: RunConfig, clip: bool, force: bool) -> int:
     plot_path = paths["reports"] / "comparison_plot.txt"
     _check_outputs([csv_path, plot_path], force)
     _make_dir(paths["reports"])
-    bundle, options = _training_setup(cfg, paths, cfg.models)
+    bundle, options = _training_setup(cfg, paths, cfg.models, ["train", "test"])
     report = evaluate.run_experiment(
         bundle, [cfg.hyper_for(kind) for kind in cfg.models],
         n_runs=cfg.n_runs, base_seed=cfg.base_seed, clip=clip, verbose=True, **options,

@@ -214,7 +214,7 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, embedding_dim: int,
     token followed by dim space-separated floats.  Vocabulary tokens missing
     from the file get a seeded Uniform(-0.25, 0.25) vector; row 0 (padding)
     is all zeros.  A dimension mismatch is an error naming both dims; a line
-    that is not valid UTF-8 is an error naming its number.
+    that is not valid UTF-8, or holds a non-finite value, names its number.
     """
     vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -243,9 +243,12 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, embedding_dim: int,
                 )
             if token in vocab and token not in vectors:
                 try:
-                    vectors[token] = np.array([float(v) for v in vals], dtype=np.float64)
+                    vec = np.array([float(v) for v in vals], dtype=np.float64)
+                    if not np.isfinite(vec).all():
+                        raise ValueError("not a finite number")
                 except ValueError as exc:
                     raise EmbeddingFormatError(f"bad vector value at line {line_no}: {exc}") from None
+                vectors[token] = vec
     table = np.zeros((vocab.size + 1, embedding_dim), dtype=np.float64)
     rng = np.random.default_rng(seed)
     for i, token in enumerate(vocab.tokens, start=1):

@@ -22,13 +22,14 @@ document see its all-zero pad rows.  Max-over-time pooling runs over each
 document's own windows.  The output therefore never depends on how much
 trailing padding a document carries, and an empty document still pools over
 at least one window per width.  Row s of a read-only strided view of the m
-packed embedding rows is the window starting at token s, flattened, so a
-width's im2col block is one row gather of its window starts.  The backward
-puts each max's gradient on the token its window starts at, and offset a of
-every window reaches its token through one shifted slice,
-d_e[a:] += d_tok[:m-a] @ filters[:, a].  Each token receives the same terms
-in the same order as a per-window scatter of the (windows, w*p) input
-gradient would give it, so the gradients are bitwise those of that scatter.
+packed embedding rows e is window s flattened, so a width's im2col block is
+one row gather of its window starts.  The backward puts each max's gradient
+on the token its window starts at, d_tok (m, n_filters), and offset a of each
+window reads and feeds its token through one shifted slice:
+g_filters[:, a] = d_tok[:m-a].T @ e[a:] and d_e[a:] += d_tok[:m-a] @ filters[:, a].
+d_e gets the terms, in the order, of a per-window scatter of the (windows,
+w*p) input gradient, so the embedding gradient is bitwise that scatter's; the
+filter gradient agrees to rounding with the im2col GEMM's.
 
 Pooling order: the raw convolution (no bias) is max-pooled first, and the
 bias and tanh are applied to the (batch, n_filters) maxima only; both are
@@ -47,9 +48,9 @@ adaptive ceiling, MMAP_THRESHOLD; larger blocks are mmapped as before.
 Where the C library has no mallopt, or refuses these values, nothing changes.
 The im2col blocks are the largest temporaries (about 48 MB per batch in
 float32 at embedding width 200, windows 3/4/5 and 128 documents of about 40
-tokens), so the backward releases each block from the cache once its filter
-gradient is taken, and keeps no (windows, w*p) input gradient; a batch's
-temporaries then stay within the kept heap top.
+tokens), so the forward frees each block right after its convolution and
+caches only the (m, p) packed rows; a batch holds one block at a time, and
+its temporaries stay within the kept heap top.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
     doc_start = np.cumsum(eff) - eff
     e = params.embedding[tokens]                                    # (n_tokens, p)
     pooled = np.empty((batch, cfg.total_filters), params.dtype)
-    argmaxes, starts, windows = [], [], []
+    argmaxes, starts = [], []
     for wi, w in enumerate(cfg.window_sizes):
         n_win = eff - w + 1
         first = np.cumsum(n_win) - n_win                # each document's first window row
@@ -262,10 +263,10 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
         # a width's block is one row gather and its convolution one GEMM
         rows = np.lib.stride_tricks.as_strided(e, (len(e) - w + 1, w * e.shape[1]),
                                                e.strides, writeable=False)
-        x = rows[start]
-        # window-major GEMM: filters @ x.T is as fast but rounds differently,
-        # moving fitted weights by up to ~1e-12
-        conv = x @ params.filters[wi].reshape(nf, -1).T    # (windows, n_filters)
+        # window-major GEMM: filters @ block.T is as fast but rounds
+        # differently, moving fitted weights by up to ~1e-12; the backward
+        # reads e, so the block is freed as soon as it is convolved
+        conv = rows[start] @ params.filters[wi].reshape(nf, -1).T    # (windows, n_filters)
         top = np.maximum.reduceat(conv, first)             # (batch, n_filters)
         pooled[:, wi * nf:(wi + 1) * nf] = np.tanh(top + params.filter_biases[wi])
         if want_cache:
@@ -280,22 +281,17 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
             np.not_equal(seg[1:], seg[:-1], out=new_seg[1:])
             argmaxes.append(r[new_seg].reshape(nf, batch).T)
             starts.append(start)
-            windows.append(x)
     dropped = pooled if dropout_mask is None else pooled * dropout_mask
     out = dropped @ params.proj + params.proj_bias
-    cache = None
-    if want_cache:
-        cache = {
-            "tokens": tokens, "pooled": pooled, "dropped": dropped,
-            "argmaxes": argmaxes, "starts": starts, "windows": windows,
-            "dropout_mask": dropout_mask,
-        }
+    cache = dict(tokens=tokens, e=e, pooled=pooled, dropped=dropped, argmaxes=argmaxes,
+                 starts=starts, dropout_mask=dropout_mask) if want_cache else None
     return out, cache
 
 
 def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnParams:
     """Gradients of the cached forward pass, given the upstream d(loss)/d(out).
-    Releases the cache's im2col blocks as it goes, so a cache serves once."""
+    Both weight gradients of a width come from one token-row gradient d_tok
+    (module docstring); the cache is only read."""
     cfg = params.config
     nf = cfg.n_filters
     g_proj = cache["dropped"].T @ d_out
@@ -304,7 +300,7 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
     if cache["dropout_mask"] is not None:
         d_pooled = d_pooled * cache["dropout_mask"]
     d_pooled *= 1.0 - cache["pooled"] ** 2              # through tanh at each max
-    tokens = cache["tokens"]
+    tokens, e = cache["tokens"], cache["e"]
     trainable = params.embedding_trainable
     dtype = params.dtype
     m = len(tokens)
@@ -312,23 +308,18 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
     g_filters, g_biases = [], []
     for wi, w in enumerate(cfg.window_sizes):
         start, argmax = cache["starts"][wi], cache["argmaxes"][wi]
-        d_pre_vals = d_pooled[:, wi * nf:(wi + 1) * nf]
-        # Dense (windows, n_filters) gradient that is zero except at each
-        # filter's argmax window; turns the scatter into plain GEMMs.
-        d_pre = np.zeros((len(start), nf), dtype)
-        d_pre[argmax, np.arange(nf)] = d_pre_vals
-        # the (windows, w*p) im2col block, released once used (module docstring)
-        x, cache["windows"][wi] = cache["windows"][wi], None
-        g_filters.append((d_pre.T @ x).reshape(nf, w, -1))
-        del x
-        g_biases.append(d_pre_vals.sum(axis=0))
-        if trainable:
-            # each max's gradient on the token its window starts at; offset a
-            # of a window starting at token s feeds token s + a
-            d_tok = np.zeros((m, nf), dtype)
-            d_tok[start[argmax], np.arange(nf)] = d_pre_vals
-            for a in range(w):
+        d_max = d_pooled[:, wi * nf:(wi + 1) * nf]
+        # each max's gradient on the token its window starts at; offset a of
+        # a window starting at token s reads, and feeds, token s + a
+        d_tok = np.zeros((m, nf), dtype)
+        d_tok[start[argmax], np.arange(nf)] = d_max
+        g_f = np.empty_like(params.filters[wi])
+        for a in range(w):
+            g_f[:, a] = d_tok[:m - a].T @ e[a:]
+            if trainable:
                 d_e[a:] += d_tok[:m - a] @ params.filters[wi][:, a, :]
+        g_filters.append(g_f)
+        g_biases.append(d_max.sum(axis=0))
     g_emb = None
     if trainable:
         # one bin per (token, column), filled in token order from 0.0 as

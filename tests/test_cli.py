@@ -176,6 +176,28 @@ def test_evaluate_refuses_a_resplit_that_keeps_every_training_count(tmp_path, re
     assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
 
 
+@pytest.mark.parametrize("split, argv", [
+    ("train", ["train", "--model", "PMF", "--force"]),
+    ("test", ["evaluate", "--model", "PMF"]),
+    ("train", ["compare"]),
+    ("test", ["compare"]),
+])
+def test_bundle_with_an_empty_split_is_data_error(tmp_path, review_file, capsys, split, argv):
+    from dataclasses import replace
+    from biconvmf import corpus
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    path = tmp_path / "out/corpus/bundle.bcmf"
+    bundle = corpus.load_bundle(path)
+    empty = {f"{split}_{name}": getattr(bundle, f"{split}_{name}")[:0]
+             for name in ("user_idx", "item_idx", "ratings")}
+    corpus.save_bundle(replace(bundle, **empty), path)
+    capsys.readouterr()
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == EXIT_DATA
+    assert f"holds no {split} ratings" in capsys.readouterr().err
+
+
 def test_version_1_checkpoint_is_refused(tmp_path, review_file, capsys):
     # a version-1 checkpoint records no training digest, so no split check
     # could pass it: it is refused, to be retrained

@@ -220,6 +220,14 @@ def test_load_embeddings_row_dim_mismatch(tmp_path):
         load_pretrained_embeddings(path, build_vocabulary([["a"]]), 2)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_load_embeddings_non_finite_value_names_its_line(tmp_path, value):
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"2 2\nq 0.5 0.5\na 1.0 {value}\n", encoding="utf-8")
+    with pytest.raises(corpus.EmbeddingFormatError, match="line 3: not a finite number"):
+        load_pretrained_embeddings(path, build_vocabulary([["a"]]), 2)
+
+
 def test_load_embeddings_missing_token_is_seeded_uniform(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1.0 2.0\n", encoding="utf-8")

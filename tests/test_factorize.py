@@ -356,7 +356,7 @@ def test_fresh_cnns_train_in_float32_throughout(tiny_bundle, monkeypatch):
         out, cache = result
         if cache is None:
             return [out]
-        return [out, cache["pooled"], cache["dropped"], cache["dropout_mask"], *cache["windows"]]
+        return [out, cache["e"], cache["pooled"], cache["dropped"], cache["dropout_mask"]]
 
     record("_forward_batch", forward_arrays)
     record("_backward_batch", lambda args, result: [args[2], *result.trainable()])

@@ -1,3 +1,4 @@
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -416,6 +417,29 @@ def test_frozen_embedding_leaves_the_other_gradients_bitwise_equal():
         assert np.array_equal(g, g_frozen)
 
 
+def test_backward_leaves_its_cache_intact():
+    # the cache holds the packed embedding rows, not each width's
+    # (windows, w*p) im2col block, and the backward only reads it
+    params, docs, lens, targets, weight, decay, mask = mixed_batch()
+    out, cache = textcnn._forward_batch(params, docs, lens, mask, want_cache=True)
+    d_out = (weight / len(docs)) * (out - targets)
+
+    def arrays(c):
+        return [a for v in c.values() for a in (v if isinstance(v, list) else [v])]
+
+    kept = deepcopy(cache)
+    first = textcnn._backward_batch(params, cache, d_out)
+    second = textcnn._backward_batch(params, cache, d_out)
+    for g, g_again in zip(first.trainable(), second.trainable(), strict=True):
+        assert np.array_equal(g, g_again)
+    assert cache.keys() == kept.keys()
+    for a, b in zip(arrays(cache), arrays(kept), strict=True):
+        assert np.array_equal(a, b)
+    p = params.config.embedding_dim
+    blocks = {(len(start), w * p) for w, start in zip(params.config.window_sizes, cache["starts"])}
+    assert not any(a.shape in blocks for a in arrays(cache))
+
+
 # ---------------------------------------------------------------- fitting
 
 def fit(params, docs, lens, targets, *args, **kwargs):
@@ -529,12 +553,13 @@ def test_repeated_fit_reuses_its_scratch_memory():
 
 @pytest.mark.skipif(not textcnn.HEAP_TOP_KEPT, reason="the C library has no mallopt")
 def test_repeated_fit_at_embedding_width_200_reuses_its_scratch_memory(monkeypatch):
-    # float32 im2col blocks of about 12, 16 and 20 MB per batch: the backward
-    # releases each one once used and keeps no (windows, w*p) input gradient,
-    # so its temporaries fit in the heap top kept from the batch before.
-    # Faults are counted inside the backward only: a per-offset scatter of
-    # that input gradient, with every block kept, took 1,600-3,600 there per
-    # fit, while the rest of the process can fault a few hundred either way.
+    # float32 im2col blocks of about 12, 16 and 20 MB per batch: the forward
+    # frees each one after its convolution and the backward works from the
+    # packed embedding rows alone, so its temporaries fit in the heap top
+    # kept from the batch before.  Faults are counted inside the backward
+    # only: a per-offset scatter of a (windows, w*p) input gradient, with
+    # every block cached, took 1,600-3,600 there per fit, while the rest of
+    # the process can fault a few hundred either way.
     resource = pytest.importorskip("resource")
     cfg = CnnConfig(max_len=64, embedding_dim=200, window_sizes=(3, 4, 5), n_filters=64)
     params = textcnn.init_cnn_params(cfg, 2000, seed=125).astype(np.float32)
