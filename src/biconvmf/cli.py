@@ -201,11 +201,15 @@ def _paths(cfg: RunConfig):
 
 def _check_outputs(files: list[Path], force: bool):
     """Refuse, before any work, output files that cannot be written: one that
-    exists without --force or is a directory, and one whose directory cannot
-    be made because a file stands at it or at one of its parents."""
+    exists without --force or is a directory, one whose temporary file (see
+    serialize.temp_path) is a directory, and one whose directory cannot be
+    made because a file stands at it or at one of its parents."""
     for path in files:
         if path.is_dir():
             raise ConfigError(f"{path} is a directory; cannot write an output file there")
+        tmp = serialize.temp_path(path)
+        if tmp.is_dir():
+            raise ConfigError(f"{tmp} is a directory; cannot write {path} through it")
         if path.exists() and not force:
             raise ConfigError(f"{path} already exists; pass --force to overwrite")
         blocked = next((d for d in path.parents if d.exists()), None)

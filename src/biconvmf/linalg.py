@@ -5,7 +5,9 @@ both functions here take a stack of matrices (``(..., n, n)``) and right-hand
 sides (``(..., n)``), and a single 2-d system is a stack of none.  A stacked
 Cholesky factorization checks positive definiteness and numpy's stacked LU
 solve does the solving, each one call for the whole stack; no iterative
-solvers.  Everything runs in float64.
+solvers.  The half-steps' systems (``C C^T + lambda I``, lambda > 0) fail the
+check only on degenerate input, as one SolveError for the whole stack.
+Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -15,14 +17,6 @@ import numpy as np
 
 class SolveError(ValueError):
     """The system cannot be solved: it has non-finite entries or is not positive definite."""
-
-
-class SingularMatrixError(SolveError):
-    """A supposedly SPD matrix produced a non-positive Cholesky pivot."""
-
-    def __init__(self, pivot: int):
-        self.pivot = pivot
-        super().__init__(f"matrix is not positive definite: non-positive pivot at index {pivot}")
 
 
 def weighted_gram(columns: np.ndarray) -> np.ndarray:
@@ -47,9 +41,7 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     a has shape (..., n, n) and b the matching (..., n).  Each A must be
     symmetric to within 1e-10 (relative to its own largest entry).  Raises
-    SolveError on non-finite entries and SingularMatrixError, naming the
-    first failing pivot of the first failing system, when an A is not
-    positive definite.
+    SolveError on non-finite entries and when any A is not positive definite.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -67,17 +59,6 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(_first_bad_pivot(a)) from None
+        raise SolveError("matrix is not positive definite") from None
     return np.linalg.solve(a, b[..., None])[..., 0]
 
-
-def _first_bad_pivot(a: np.ndarray) -> int:
-    # Error path only: factor the leading minors of one system at a time; the
-    # first minor of order j + 1 that is not positive definite fails at pivot j.
-    for system in a.reshape(-1, *a.shape[-2:]):
-        for j in range(system.shape[0]):
-            try:
-                np.linalg.cholesky(system[:j + 1, :j + 1])
-            except np.linalg.LinAlgError:
-                return j
-    return a.shape[-1] - 1

@@ -76,7 +76,10 @@ def unpack_container(blob: bytes, magic: bytes, supported_versions: tuple[int, .
     for i in range(n_sections):
         label = f"section {i} header"
         (name_len,) = struct.unpack("<H", take(2, label))
-        name = take(name_len, label).decode("utf-8")
+        try:
+            name = take(name_len, label).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ContainerError(f"bad {label}: name is not valid UTF-8") from None
         (payload_len,) = struct.unpack("<Q", take(8, f"section '{name}' length"))
         sections[name] = take(payload_len, f"section '{name}' payload")
     return version, sections
@@ -93,10 +96,15 @@ def write_text(path, text: str) -> None:
     _write_atomic(path, [text.encode("utf-8")])
 
 
+def temp_path(path) -> Path:
+    """The temporary file beside path that _write_atomic writes first."""
+    return Path(f"{path}.tmp")
+
+
 def _write_atomic(path, chunks: list[bytes]) -> None:
     """Write a temporary file beside path and rename it over path, so that a
     failed write leaves the existing file untouched and no temporary file."""
-    tmp = Path(f"{path}.tmp")
+    tmp = temp_path(path)
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:

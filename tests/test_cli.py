@@ -364,7 +364,7 @@ def test_model_lambda_overrides_apply(tmp_path, review_file):
     assert model.hyper.lambda_item == 9.5
 
 
-@pytest.mark.parametrize("error", [linalg.SingularMatrixError(3),
+@pytest.mark.parametrize("error", [linalg.SolveError("matrix is not positive definite"),
                                    linalg.SolveError("non-finite entries in linear system")])
 def test_solver_failure_is_training_failure(tmp_path, review_file, monkeypatch, capsys, error):
     from biconvmf import cli
@@ -552,6 +552,36 @@ def test_corrupt_array_section_is_data_error(tmp_path, review_file, capsys,
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", ["bundle", "checkpoint", "nested-cnn"])
+def test_section_name_that_is_not_utf8_is_data_error(tmp_path, review_file, capsys, target):
+    from biconvmf import factorize, serialize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "ConvMF"]) == EXIT_OK
+    bundle, ckpt = tmp_path / "out/corpus/bundle.bcmf", tmp_path / "out/models/ConvMF.ckpt"
+
+    def flip_meta_name(blob: bytes) -> bytes:
+        # 8 magic, 8 version and count and 2 name-length bytes precede the
+        # first section's name, 'meta'; bit 7 of its first byte breaks UTF-8
+        blob = bytearray(blob)
+        blob[18] ^= 0x80
+        return bytes(blob)
+
+    if target == "nested-cnn":
+        magic, version = factorize.MODEL_MAGIC, factorize.MODEL_VERSION
+        _, sections = serialize.read_container(ckpt, magic, (version,))
+        sections["cnn_item"] = flip_meta_name(sections["cnn_item"])
+        serialize.write_container(ckpt, magic, version, sections)
+    else:
+        path = bundle if target == "bundle" else ckpt
+        path.write_bytes(flip_meta_name(path.read_bytes()))
+    argv = ["train", "--model", "PMF"] if target == "bundle" else ["evaluate", "--model", "ConvMF"]
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "bad section 0 header: name is not valid UTF-8" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra, message", [
     ({"experiment": {"test_fraction": "1.5"}}, "test_fraction must be in (0, 1), got 1.5"),
     ({"data": {"first_n": "-1"}}, "first_n must be >= 0, got -1"),
@@ -630,6 +660,29 @@ def test_unwritable_output_path_is_config_error_before_any_work(
     err = capsys.readouterr().err
     assert f"{named} is " in err and "Traceback" not in err
     assert trained == []
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["ingest"], "corpus/bundle.bcmf"),
+    (["train", "--model", "PMF"], "models/PMF.ckpt"),
+], ids=["ingest", "train"])
+def test_directory_at_an_outputs_temporary_path_is_config_error_before_any_work(
+        tmp_path, review_file, capsys, monkeypatch, argv, output):
+    from biconvmf import corpus, factorize
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, review_file, out)
+    if argv != ["ingest"]:
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    tmp = out / f"{output}.tmp"
+    tmp.mkdir(parents=True)
+    worked = []
+    monkeypatch.setattr(corpus, "build_bundle", lambda *args, **kwargs: worked.append(args))
+    monkeypatch.setattr(factorize, "train", lambda *args, **kwargs: worked.append(args))
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{tmp} is a directory" in err and "Traceback" not in err
+    assert worked == [] and not (out / output).exists()
 
 
 def test_checkpoint_with_float64_cnns_still_evaluates(tmp_path, review_file):

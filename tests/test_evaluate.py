@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from biconvmf import evaluate, factorize, textcnn
 from biconvmf.evaluate import SplitSpec, rmse, run_experiment, split
-from biconvmf.linalg import SingularMatrixError
+from biconvmf.linalg import SolveError
 
 
 # ---------------------------------------------------------------- split
@@ -149,14 +149,14 @@ def test_failed_runs_are_marked_and_do_not_stop_others(tiny_bundle, monkeypatch)
         factorize.Hyperparams.for_model("PMF", n_factors=4, outer_iters=2),
         factorize.Hyperparams.for_model("ConvMF", n_factors=4, outer_iters=2),
     ]
-    fail_kind(monkeypatch, "ConvMF", SingularMatrixError(2))
+    fail_kind(monkeypatch, "ConvMF", SolveError("matrix is not positive definite"))
     report = run_experiment(tiny_bundle, hypers, n_runs=2, base_seed=1)
     pmf = report.runs_for("PMF")
     conv = report.runs_for("ConvMF")
     assert all(not r.failed for r in pmf)
     assert all(r.failed and np.isnan(r.rmse) for r in conv)
     assert not report.all_failed()
-    assert "pivot at index 2" in conv[0].error
+    assert "matrix is not positive definite" in conv[0].error
     # failed cells appear as nan in the artifacts instead of vanishing
     assert "nan" in report.to_csv()
     assert "nan" in report.to_plot_data()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from biconvmf.linalg import SingularMatrixError, SolveError, spd_solve, weighted_gram
+from biconvmf.linalg import SolveError, spd_solve, weighted_gram
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -81,17 +81,15 @@ def test_spd_rejects_asymmetric():
         spd_solve(a, np.array([1.0, 1.0]))
 
 
-def test_spd_singularity_names_pivot():
+def test_spd_singular_matrix_is_refused():
     a = np.diag([1.0, 0.0, 2.0])
-    with pytest.raises(SingularMatrixError, match="pivot at index 1") as err:
+    with pytest.raises(SolveError, match="not positive definite"):
         spd_solve(a, np.array([1.0, 1.0, 1.0]))
-    assert err.value.pivot == 1
 
 
-def test_spd_negative_definite_fails_at_first_pivot():
-    with pytest.raises(SingularMatrixError) as err:
+def test_spd_negative_definite_is_refused():
+    with pytest.raises(SolveError, match="not positive definite"):
         spd_solve(-np.eye(2), np.array([1.0, 1.0]))
-    assert err.value.pivot == 0
 
 
 def test_spd_rejects_nonfinite():
@@ -123,21 +121,19 @@ def test_empty_stack_solves_to_empty():
     assert spd_solve(np.empty((0, 3, 3)), np.empty((0, 3))).shape == (0, 3)
 
 
-def test_stack_with_one_non_pd_member_names_its_pivot():
+def test_stack_with_one_non_pd_member_is_refused():
     a, b = spd_stack(8, 5, 4)
     a[3] = np.diag([1.0, 2.0, -1.0, 3.0])
-    with pytest.raises(SingularMatrixError, match="pivot at index 2") as err:
+    with pytest.raises(SolveError, match="not positive definite"):
         spd_solve(a, b)
-    assert err.value.pivot == 2
 
 
 def test_stack_first_failing_member_is_reported():
     a, b = spd_stack(9, 4, 3)
     a[1] = np.diag([1.0, 0.0, 1.0])
     a[2] = np.diag([-1.0, 1.0, 1.0])
-    with pytest.raises(SingularMatrixError) as err:
+    with pytest.raises(SolveError, match="not positive definite"):
         spd_solve(a, b)
-    assert err.value.pivot == 1
 
 
 def test_stack_with_asymmetric_member_rejected():
