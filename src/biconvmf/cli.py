@@ -106,14 +106,14 @@ class RunConfig:
     early_stop_rel_tol: float = _setting("factorization", factorize.Hyperparams.early_stop_rel_tol)
     early_stop_patience: int = _setting("factorization", factorize.Hyperparams.early_stop_patience)
     lambdas: dict = field(default_factory=dict)  # model kind -> {LAMBDA_KEYS entry: value}
-    weight_decay: float = _setting("factorization", factorize.Hyperparams.weight_decay_user)
+    weight_decay: float = _setting("factorization", factorize.Hyperparams.weight_decay)
     out_dir: Path = _setting("output", Path("runs"), key="dir")
 
     def hyper_for(self, kind: str) -> factorize.Hyperparams:
         """Hyperparameters of one canonical model kind."""
         return factorize.Hyperparams.for_model(
             kind, n_factors=self.n_factors, **self.lambdas.get(kind, {}),
-            weight_decay_user=self.weight_decay, weight_decay_item=self.weight_decay,
+            weight_decay=self.weight_decay,
             outer_iters=self.outer_iters,
             early_stop_rel_tol=self.early_stop_rel_tol,
             early_stop_patience=self.early_stop_patience,

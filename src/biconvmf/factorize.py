@@ -42,7 +42,7 @@ DEFAULT_LAMBDAS = {
 }
 
 MODEL_MAGIC = b"BCMFMODL"
-MODEL_VERSION = 2  # 2: meta records train_digest; version-1 files are refused
+MODEL_VERSION = 3  # 3: one weight_decay, no model_kind or global_mean; older files are refused
 
 
 def canonical_model_kind(name: str) -> str:
@@ -58,8 +58,7 @@ class Hyperparams:
     n_factors: int = 50
     lambda_user: float = 100.0
     lambda_item: float = 100.0
-    weight_decay_user: float = 1e-4
-    weight_decay_item: float = 1e-4
+    weight_decay: float = 1e-4     # of both CNNs' weights
     outer_iters: int = 30
     early_stop_rel_tol: float = 1e-4
     early_stop_patience: int = 3
@@ -71,8 +70,8 @@ class Hyperparams:
             raise ValueError(f"n_factors must be >= 1, got {self.n_factors}")
         if not (0 < self.lambda_user < np.inf and 0 < self.lambda_item < np.inf):
             raise ValueError("lambda_user and lambda_item must be finite and > 0")
-        if not (0 <= self.weight_decay_user < np.inf and 0 <= self.weight_decay_item < np.inf):
-            raise ValueError("weight decays must be finite and >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
         if self.early_stop_patience < 1:
@@ -198,15 +197,15 @@ def update_item_factors(ratings: SparseRatings, user_factors: np.ndarray,
 def total_loss(ratings: SparseRatings, user_factors: np.ndarray, item_factors: np.ndarray,
                targets_user: np.ndarray | None, targets_item: np.ndarray | None,
                lambda_user: float, lambda_item: float,
-               weight_decay_user: float = 0.0, weight_decay_item: float = 0.0,
+               weight_decay: float = 0.0,
                user_weight_sqnorm: float = 0.0, item_weight_sqnorm: float = 0.0) -> float:
     """Joint MAP loss: squared rating error plus factor-prior and weight terms.
 
     0.5 * sum_(i,j) (r_ij - u_i . v_j)^2
     + (lambda_user/2) * sum_i ||u_i - prior_u(i)||^2
     + (lambda_item/2) * sum_j ||v_j - prior_v(j)||^2
-    + (weight_decay_user/2) * user_weight_sqnorm
-    + (weight_decay_item/2) * item_weight_sqnorm
+    + (weight_decay/2) * user_weight_sqnorm
+    + (weight_decay/2) * item_weight_sqnorm
     """
     preds = np.einsum("ki,ki->i", user_factors[:, ratings.users], item_factors[:, ratings.items])
     loss = 0.5 * float(((ratings.ratings - preds) ** 2).sum())
@@ -214,8 +213,8 @@ def total_loss(ratings: SparseRatings, user_factors: np.ndarray, item_factors: n
     dv = item_factors - targets_item if targets_item is not None else item_factors
     loss += 0.5 * lambda_user * float((du ** 2).sum())
     loss += 0.5 * lambda_item * float((dv ** 2).sum())
-    loss += 0.5 * weight_decay_user * user_weight_sqnorm
-    loss += 0.5 * weight_decay_item * item_weight_sqnorm
+    loss += 0.5 * weight_decay * user_weight_sqnorm
+    loss += 0.5 * weight_decay * item_weight_sqnorm
     return loss
 
 
@@ -238,7 +237,6 @@ class TrainLog:
                      "user_train_counts", "item_train_counts", "cnn_user", "cnn_item")
 @dataclass
 class TrainedModel:
-    model_kind: str
     hyper: Hyperparams
     user_factors: np.ndarray   # (k, n_users)
     item_factors: np.ndarray   # (k, n_items)
@@ -246,8 +244,7 @@ class TrainedModel:
     item_ids: list[str]
     cnn_user: CnnParams | None
     cnn_item: CnnParams | None
-    global_mean: float
-    item_means: np.ndarray         # per-item training mean; global mean where unrated
+    item_means: np.ndarray         # per-item training mean; global training mean where unrated
     user_train_counts: np.ndarray
     item_train_counts: np.ndarray
     train_digest: str              # CorpusBundle.train_digest() of the bundle it trained on
@@ -260,17 +257,20 @@ class TrainedModel:
         check("user_factors", self.user_factors, (k, n_users))
         check("item_factors", self.item_factors, (k, n_items))
         check("item_means", self.item_means, (n_items,))
-        check("global_mean", self.global_mean, ())
         check("user_train_counts", self.user_train_counts, (n_users,), integer=True, lo=0)
         check("item_train_counts", self.item_train_counts, (n_items,), integer=True, lo=0)
+
+    @property
+    def model_kind(self) -> str:
+        return self.hyper.model_kind
 
     def predict_indexed(self, user_idx, item_idx, clip: bool = False) -> np.ndarray:
         """Vectorized predictions for index arrays, with cold-start fallbacks.
 
-        A user or item is cold when it has no training ratings: a cold item
-        falls back to the global training mean, a cold user (on a warm item)
-        to that item's training mean; otherwise the factor dot product.  An
-        index outside [0, n) is a ValueError.
+        A user or item is cold when it has no training ratings: a pair with
+        either cold falls back to item_means (the item's training mean, or
+        the global training mean for a cold item); otherwise the factor dot
+        product.  An index outside [0, n) is a ValueError.
         """
         user_idx = np.asarray(user_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
@@ -282,8 +282,7 @@ class TrainedModel:
         dots = np.einsum("ki,ki->i", self.user_factors[:, user_idx], self.item_factors[:, item_idx])
         warm_u = self.user_train_counts[user_idx] > 0
         warm_i = self.item_train_counts[item_idx] > 0
-        preds = np.where(~warm_i, self.global_mean,
-                         np.where(~warm_u, self.item_means[item_idx], dots))
+        preds = np.where(warm_u & warm_i, dots, self.item_means[item_idx])
         if clip:
             preds = np.clip(preds, 1.0, 5.0)
         return preds
@@ -296,7 +295,6 @@ class _Side:
     docs: np.ndarray                # one review document per factor column
     lens: np.ndarray
     lam: float                      # prior strength
-    weight_decay: float
     fit_losses: list                # the TrainLog list of this side's CNN fit losses
     cnn: CnnParams | None
     encodings: np.ndarray | None    # (n, k) outputs of cnn on docs: the prior means
@@ -345,30 +343,30 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     root = np.random.SeedSequence(hyper.seed)
     factors_ss, user_cnn_ss, item_cnn_ss, fits_ss = root.spawn(4)
 
-    def start_side(docs, lens, lam, weight_decay, fit_losses, want_cnn, cnn_ss) -> _Side:
+    def start_side(docs, lens, lam, fit_losses, want_cnn, cnn_ss) -> _Side:
         if not want_cnn:
-            return _Side(docs, lens, lam, weight_decay, fit_losses, None, None)
+            return _Side(docs, lens, lam, fit_losses, None, None)
         if kind == "BiConvMF+":   # stays float64, as its pretrained table
             cnn = textcnn.init_cnn_params(cnn_config, bundle.vocab.size, cnn_ss,
                                           embedding=pretrained_embedding,
                                           embedding_trainable=pretrained_trainable)
         else:   # a fresh CNN trains in float32 (textcnn module docstring)
             cnn = textcnn.init_cnn_params(cnn_config, bundle.vocab.size, cnn_ss).astype(np.float32)
-        return _Side(docs, lens, lam, weight_decay, fit_losses, cnn,
+        return _Side(docs, lens, lam, fit_losses, cnn,
                      textcnn.forward_many(cnn, docs, lens))
 
     log = TrainLog()
     user = start_side(bundle.user_docs, bundle.user_doc_lens, hyper.lambda_user,
-                      hyper.weight_decay_user, log.fit_losses_user, want_user_cnn, user_cnn_ss)
+                      log.fit_losses_user, want_user_cnn, user_cnn_ss)
     item = start_side(bundle.item_docs, bundle.item_doc_lens, hyper.lambda_item,
-                      hyper.weight_decay_item, log.fit_losses_item, want_item_cnn, item_cnn_ss)
+                      log.fit_losses_item, want_item_cnn, item_cnn_ss)
     user.factors, item.factors = init_factors(bundle.n_users, bundle.n_items, hyper.n_factors,
                                               factors_ss)
     cnn_sides = [side for side in (user, item) if side.cnn is not None]
 
     def loss_now():
         return total_loss(ratings, user.factors, item.factors, user.targets(), item.targets(),
-                          user.lam, item.lam, user.weight_decay, item.weight_decay,
+                          user.lam, item.lam, hyper.weight_decay,
                           user.weight_sqnorm(), item.weight_sqnorm())
 
     log.loss_initial = loss_now()
@@ -384,11 +382,12 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
         # the params it keeps, so no side is encoded outside the fit
         for side, fit_seed in zip(cnn_sides, fits_ss.spawn(len(cnn_sides))):
             side.cnn, fit_loss, side.encodings = textcnn.fit_to_targets(
-                side.cnn, side.docs, side.lens, side.factors.T, side.lam, side.weight_decay,
+                side.cnn, side.docs, side.lens, side.factors.T, side.lam, hyper.weight_decay,
                 optimizer, fit_seed, start_outputs=side.encodings)
             side.fit_losses.append(fit_loss)
 
-        loss = loss_now()
+        # with no CNN fitted, nothing has changed since the after-item loss
+        loss = loss_now() if cnn_sides else log.losses_after_item[-1]
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite joint loss at outer iteration {it}: {loss}")
         log.losses.append(loss)
@@ -410,11 +409,11 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     item_means = np.where(item_counts > 0, sums / np.maximum(item_counts, 1), global_mean)
 
     return TrainedModel(
-        model_kind=kind, hyper=hyper,
+        hyper=hyper,
         user_factors=user.factors, item_factors=item.factors,
         user_ids=list(bundle.user_ids), item_ids=list(bundle.item_ids),
         cnn_user=user.cnn, cnn_item=item.cnn,
-        global_mean=global_mean, item_means=item_means,
+        item_means=item_means,
         user_train_counts=user_counts, item_train_counts=item_counts,
         train_digest=bundle.train_digest(), log=log,
     )
@@ -425,6 +424,7 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    """A saved model.  A version-1 file is refused (UnsupportedVersionError):
-    it records no train_digest, so evaluate could not check its split."""
+    """A saved model.  A version-1 or version-2 file is refused
+    (UnsupportedVersionError), to be retrained: version 1 records no
+    train_digest, so evaluate could not check its split."""
     return serialize.load(TrainedModel, path)

@@ -16,6 +16,7 @@ guessing at the layout.  Dataclasses declare their formats with the
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -111,7 +112,8 @@ def _write_atomic(path, chunks: list[bytes]) -> None:
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # e.g. a directory at tmp: left alone
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -168,16 +170,13 @@ def check_array(name: str, arr, shape: tuple, integer: bool = False, lo=None, hi
         raise ValueError(f"{name} has an entry outside [{lo}, {hi}]")
 
 
-# Field metadata: INLINE stores a nested dataclass's keys in its owner's meta.
-INLINE = {"stored": "inline"}
-
-
 def container(magic: bytes, version: int, *sections):
     """Class decorator declaring the container format of a dataclass.
 
     The named fields get sections, in this order, after a JSON 'meta' section
-    holding the other fields: an ndarray as .npy bytes, a declared dataclass as
-    its nested container, anything else as JSON.  A None field is left out and
+    holding the other fields, each under its name (a dataclass as an object).
+    A section holds an ndarray as .npy bytes, a declared dataclass as its
+    nested container, anything else as JSON.  A None field is left out and
     loads as None if its annotation allows.  A tuple of names declares parallel
     lists of arrays, stored per index as a_0, b_0, a_1, b_1, ...
     """
@@ -223,12 +222,7 @@ def _plain(value, exclude=()):
         return value
     if not is_dataclass(value):
         return [_plain(v) for v in value]
-    out = {}
-    for f in fields(value):
-        if f.name not in exclude:
-            plain = _plain(getattr(value, f.name))
-            out.update(plain if f.metadata.get("stored") == "inline" else {f.name: plain})
-    return out
+    return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.name not in exclude}
 
 
 def _from_sections(cls, payloads: dict[str, bytes]):
@@ -256,7 +250,11 @@ def _from_sections(cls, payloads: dict[str, bytes]):
             given[entry] = array_from_bytes(payload, entry)
         elif hasattr(hint, "container_format"):
             magic, version, _ = hint.container_format
-            given[entry] = _from_sections(hint, unpack_container(payload, magic, (version,))[1])
+            try:
+                given[entry] = _from_sections(hint, unpack_container(payload, magic, (version,))[1])
+            except ContainerError as exc:   # name the outer section; keep the type
+                exc.args = (f"section '{entry}': {exc}",)
+                raise
         else:
             given[entry] = _rebuild(hint, json_from_bytes(payload, entry), entry)
     unexpected = sorted(set(payloads) - expected)
@@ -279,13 +277,9 @@ def _rebuild(hint, value, where: str, given=None):
     for f in fields(hint):
         if f.name in kwargs:
             continue
-        if f.metadata.get("stored") == "inline":
-            keys = [g.name for g in fields(hints[f.name]) if g.name in rest]
-            kwargs[f.name] = _rebuild(hints[f.name], {k: rest.pop(k) for k in keys}, where)
-        elif f.name not in rest:
+        if f.name not in rest:
             raise ContainerError(f"missing meta key '{prefix}{f.name}'")
-        else:
-            kwargs[f.name] = _rebuild(hints[f.name], rest.pop(f.name), prefix + f.name)
+        kwargs[f.name] = _rebuild(hints[f.name], rest.pop(f.name), prefix + f.name)
     if rest:
         raise ContainerError(f"unexpected meta key '{prefix}{min(rest)}'")
     return _build(hint, where or hint.__name__, **kwargs)

@@ -59,14 +59,14 @@ import ctypes
 import math
 import os
 from copy import deepcopy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import serialize
 
 CNN_MAGIC = b"BCMFCNNP"
-CNN_VERSION = 1
+CNN_VERSION = 2  # 2: config nested under its own meta key; version-1 files are refused
 
 ENCODE_CHUNK = 128      # documents per forward pass in forward_many
 RMSPROP_DECAY = 0.9     # decay of the running mean of squared gradients
@@ -153,7 +153,7 @@ class CnnParams:
     """The encoder's arrays; gradients come in the same shape, with embedding
     None when it is frozen."""
 
-    config: CnnConfig = field(metadata=serialize.INLINE)
+    config: CnnConfig
     embedding: np.ndarray            # (vocab+1, embedding_dim); row 0 stays zero
     filters: list[np.ndarray]        # per window: (n_filters, w, embedding_dim)
     filter_biases: list[np.ndarray]  # per window: (n_filters,)

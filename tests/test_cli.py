@@ -200,22 +200,21 @@ def test_bundle_with_an_empty_split_is_data_error(tmp_path, review_file, capsys,
 
 def test_version_1_checkpoint_is_refused(tmp_path, review_file, capsys):
     # a version-1 checkpoint records no training digest, so no split check
-    # could pass it: it is refused, to be retrained
+    # could pass it; a version-2 one stores model_kind and global_mean beside
+    # hyper and item_means, and two weight decays: both are refused, to be retrained
     from biconvmf import factorize, serialize
     cfg = write_config(tmp_path, review_file, tmp_path / "out")
     assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
     assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
     ckpt = tmp_path / "out/models/PMF.ckpt"
     _, sections = serialize.read_container(ckpt, factorize.MODEL_MAGIC, (factorize.MODEL_VERSION,))
-    meta = json.loads(sections["meta"])
-    del meta["train_digest"]
-    sections["meta"] = serialize.json_to_bytes(meta)
-    serialize.write_container(ckpt, factorize.MODEL_MAGIC, 1, sections)
-    capsys.readouterr()
-    assert main(["evaluate", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert "unsupported container version 1" in err and "Traceback" not in err
-    assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
+    for version in (1, 2):
+        serialize.write_container(ckpt, factorize.MODEL_MAGIC, version, sections)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"unsupported container version {version}" in err and "Traceback" not in err
+        assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
 
 
 def test_evaluate_refuses_checkpoint_from_another_corpus(tmp_path, review_file, capsys):
@@ -579,7 +578,9 @@ def test_section_name_that_is_not_utf8_is_data_error(tmp_path, review_file, caps
     capsys.readouterr()
     assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert "bad section 0 header: name is not valid UTF-8" in err and "Traceback" not in err
+    where = "section 'cnn_item': " if target == "nested-cnn" else ""
+    assert f"{where}bad section 0 header: name is not valid UTF-8" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -235,15 +235,15 @@ def test_loss_matches_naive_summation():
     v = rng.normal(0, 1, (k, n_items))
     tu = rng.normal(0, 1, (k, n_users))
     tv = rng.normal(0, 1, (k, n_items))
-    lu, lv, wu, wv = 1.3, 0.7, 0.01, 0.02
+    lu, lv, wd = 1.3, 0.7, 0.01
     nu, nv = 3.0, 4.0
     naive = 0.0
     for uu, ii, rr in zip(users, items, vals):
         naive += 0.5 * (rr - float(u[:, uu] @ v[:, ii])) ** 2
     naive += 0.5 * lu * float(((u - tu) ** 2).sum())
     naive += 0.5 * lv * float(((v - tv) ** 2).sum())
-    naive += 0.5 * wu * nu + 0.5 * wv * nv
-    got = total_loss(ratings, u, v, tu, tv, lu, lv, wu, wv, nu, nv)
+    naive += 0.5 * wd * nu + 0.5 * wd * nv
+    got = total_loss(ratings, u, v, tu, tv, lu, lv, wd, nu, nv)
     assert got == pytest.approx(naive, rel=1e-12)
 
 
@@ -257,7 +257,7 @@ def test_hyperparams_reject_patience_below_one(patience):
 
 @pytest.mark.parametrize("setting", [
     {"lambda_user": float("nan")}, {"lambda_item": float("inf")},
-    {"weight_decay_user": float("nan")}, {"weight_decay_item": float("inf")},
+    {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
 ])
 def test_hyperparams_reject_non_finite_regularization(setting):
     with pytest.raises(ValueError, match="must be finite"):
@@ -426,8 +426,24 @@ def test_train_encodes_each_side_once(tiny_bundle, monkeypatch):
     t_item = forward_many(model.cnn_item, tiny_bundle.item_docs, tiny_bundle.item_doc_lens).T
     assert model.log.losses[-1] == factorize.total_loss(
         ratings, model.user_factors, model.item_factors, t_user, t_item,
-        hyper.lambda_user, hyper.lambda_item, hyper.weight_decay_user, hyper.weight_decay_item,
+        hyper.lambda_user, hyper.lambda_item, hyper.weight_decay,
         model.cnn_user.weight_sqnorm(), model.cnn_item.weight_sqnorm())
+
+
+def test_pmf_reuses_the_after_item_loss_at_the_end_of_each_iteration(tiny_bundle, monkeypatch):
+    n_iters, calls = 3, []
+
+    def counting_total_loss(*args, **kwargs):
+        calls.append(1)
+        return total_loss(*args, **kwargs)
+
+    monkeypatch.setattr(factorize, "total_loss", counting_total_loss)
+    hyper = Hyperparams.for_model("PMF", n_factors=4, outer_iters=n_iters, seed=4,
+                                  early_stop_rel_tol=0.0)
+    log = factorize.train(tiny_bundle, hyper).log
+    assert len(calls) == 1 + 2 * n_iters
+    assert log.n_iterations() == n_iters
+    assert np.array_equal(log.losses, log.losses_after_item)
 
 
 def test_early_stop_triggers(tiny_bundle):
@@ -455,13 +471,12 @@ def test_stopped_early_only_when_iterations_are_skipped(tiny_bundle):
 def make_predictable_model():
     hyper = Hyperparams.for_model("PMF", n_factors=2, outer_iters=1)
     return factorize.TrainedModel(
-        model_kind="PMF", hyper=hyper,
+        hyper=hyper,
         user_factors=np.array([[1.0, 0.0], [2.0, 0.0]]),
         item_factors=np.array([[3.0, 0.5], [4.0, 0.5]]),
         user_ids=["alice", "cold_carl"], item_ids=["widget", "ghost"],
         cnn_user=None, cnn_item=None,
-        global_mean=3.7,
-        item_means=np.array([4.5, 3.7]),
+        item_means=np.array([4.5, 3.7]),   # 3.7: the global training mean
         user_train_counts=np.array([2, 0]),
         item_train_counts=np.array([2, 0]),
         train_digest="",
@@ -537,6 +552,14 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path, tiny_bundle):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
+def test_item_means_hold_the_global_training_mean_at_cold_items(tiny_bundle):
+    model = trained_tiny_model(tiny_bundle)
+    cold = model.item_train_counts == 0
+    assert cold.any()
+    global_mean = np.asarray(tiny_bundle.train_ratings, dtype=np.float64).mean()
+    assert np.all(model.item_means[cold] == global_mean)
+
+
 def test_checkpoint_records_the_training_split_digest(tmp_path, tiny_bundle):
     model = trained_tiny_model(tiny_bundle)
     assert model.train_digest == tiny_bundle.train_digest()
@@ -557,6 +580,7 @@ def edit_checkpoint(path, edit):
     (lambda meta, sections: meta["hyper"].update(clip=True), "unexpected meta key 'hyper.clip'"),
     (lambda meta, sections: sections.pop("item_means"), "missing required section 'item_means'"),
     (lambda meta, sections: sections.update(notes=b"{}"), "unexpected section 'notes'"),
+    (lambda meta, sections: meta.update(global_mean=3.5), "unexpected meta key 'global_mean'"),
 ])
 def test_checkpoint_layout_mismatch_refused(tmp_path, tiny_bundle, edit, message):
     path = tmp_path / "model.ckpt"

@@ -1,6 +1,6 @@
 import builtins
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -95,6 +95,15 @@ def test_failed_text_write_keeps_existing_file_and_leaves_no_temp(tmp_path, monk
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
+def test_directory_at_temp_path_raises_one_error_and_is_left_alone(tmp_path):
+    path = tmp_path / "report.csv"
+    serialize.temp_path(path).mkdir()
+    with pytest.raises(IsADirectoryError) as caught:
+        serialize.write_text(path, "model,rmse\n")
+    assert caught.value.__context__ is None    # the cleanup raised nothing of its own
+    assert serialize.temp_path(path).is_dir() and not path.exists()
+
+
 # ---------------------------------------------------------------- declared formats
 
 @dataclass(frozen=True)
@@ -106,7 +115,7 @@ class Shape:
 @serialize.container(b"TESTINNR", 1, "weights", ("a", "b"))
 @dataclass
 class Inner:
-    shape: Shape = field(metadata=serialize.INLINE)
+    shape: Shape
     weights: np.ndarray
     a: list[np.ndarray]
     b: list[np.ndarray]
@@ -142,7 +151,7 @@ def test_declared_format_layout_and_bytewise_roundtrip(tmp_path):
     assert json.loads(sections["meta"]) == {"name": "demo", "log": {"losses": [1.5, 0.25]}}
     _, inner = serialize.unpack_container(sections["inner"], b"TESTINNR", (1,))
     assert list(inner) == ["meta", "weights", "a_0", "b_0", "a_1", "b_1"]
-    assert json.loads(inner["meta"]) == {"rows": 2, "tags": ["x", "y"]}
+    assert json.loads(inner["meta"]) == {"shape": {"rows": 2, "tags": ["x", "y"]}}
 
     back = serialize.load(Outer, path)
     assert back.log == Log([1.5, 0.25])
@@ -180,7 +189,7 @@ def edit_inner(fn):
     (lambda s: s.update(junk=b""), "unexpected section 'junk'"),
     (lambda s: s.pop("meta"), "missing required section 'meta'"),
     (edit_inner(lambda s: s.pop("b_1")), "missing required section 'b_1'"),
-    (edit_inner(lambda s: s.update(meta=b'{"tags": []}')), "missing meta key 'rows'"),
+    (edit_inner(lambda s: s.update(meta=b'{"shape": {"tags": []}}')), "missing meta key 'shape.rows'"),
 ])
 def test_declared_format_refuses_mismatched_file(tmp_path, edit, message):
     path = tmp_path / "outer.bin"
@@ -189,4 +198,15 @@ def test_declared_format_refuses_mismatched_file(tmp_path, edit, message):
     edit(sections)
     serialize.write_container(path, MAGIC, 3, sections)
     with pytest.raises(serialize.ContainerError, match=message):
+        serialize.load(Outer, path)
+
+
+def test_nested_error_names_the_outer_section_and_keeps_its_type(tmp_path):
+    path = tmp_path / "outer.bin"
+    serialize.save(make_outer(), path)
+    _, sections = serialize.read_container(path, MAGIC, (3,))
+    sections["inner"] = serialize.pack_container(b"TESTINNR", 2, {})
+    serialize.write_container(path, MAGIC, 3, sections)
+    with pytest.raises(serialize.UnsupportedVersionError,
+                       match="^section 'inner': unsupported container version 2"):
         serialize.load(Outer, path)

@@ -639,8 +639,8 @@ def test_params_bytes_roundtrip(tmp_path):
 def test_params_bytes_missing_window_refused(tmp_path):
     path = tmp_path / "cnn.bin"
     serialize.save(textcnn.init_cnn_params(tiny_config(), 9, seed=92), path)
-    _, sections = serialize.read_container(path, textcnn.CNN_MAGIC, (1,))
+    _, sections = serialize.read_container(path, textcnn.CNN_MAGIC, (textcnn.CNN_VERSION,))
     del sections["filters_1"], sections["filter_biases_1"]
-    serialize.write_container(path, textcnn.CNN_MAGIC, 1, sections)
+    serialize.write_container(path, textcnn.CNN_MAGIC, textcnn.CNN_VERSION, sections)
     with pytest.raises(serialize.ContainerError, match="filter bank"):
         serialize.load(textcnn.CnnParams, path)
