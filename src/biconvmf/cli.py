@@ -299,13 +299,14 @@ def _checkpoint_path(paths, model_kind: str) -> Path:
 def cmd_train(cfg: RunConfig, model_kind: str, force: bool) -> int:
     paths = _paths(cfg)
     kind = factorize.canonical_model_kind(model_kind)
+    hyper = cfg.hyper_for(kind)
     ckpt = _checkpoint_path(paths, kind)
     loss_csv = paths["models"] / f"{kind}_loss.csv"
     _check_outputs([ckpt, loss_csv], force)
     _make_dir(paths["models"])
     bundle, options = _training_setup(cfg, paths, [kind], ["train"])
     t0 = time.perf_counter()
-    model = factorize.train(bundle, cfg.hyper_for(kind), verbose=True, **options)
+    model = factorize.train(bundle, hyper, verbose=True, **options)
     seconds = time.perf_counter() - t0
     factorize.save_model(model, ckpt)
     lines = ["iteration,loss_after_user_update,loss_after_item_update,loss\n"]

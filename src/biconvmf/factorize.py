@@ -74,6 +74,8 @@ class Hyperparams:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
+        if not self.early_stop_rel_tol >= 0:   # a NaN or negative tolerance never stops
+            raise ValueError(f"early_stop_rel_tol must be >= 0, got {self.early_stop_rel_tol}")
         if self.early_stop_patience < 1:
             raise ValueError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
 

@@ -23,13 +23,16 @@ document's own windows.  The output therefore never depends on how much
 trailing padding a document carries, and an empty document still pools over
 at least one window per width.  Row s of a read-only strided view of the m
 packed embedding rows e is window s flattened, so a width's im2col block is
-one row gather of its window starts.  The backward puts each max's gradient
-on the token its window starts at, d_tok (m, n_filters), and offset a of each
-window reads and feeds its token through one shifted slice:
-g_filters[:, a] = d_tok[:m-a].T @ e[a:] and d_e[a:] += d_tok[:m-a] @ filters[:, a].
-d_e gets the terms, in the order, of a per-window scatter of the (windows,
-w*p) input gradient, so the embedding gradient is bitwise that scatter's; the
-filter gradient agrees to rounding with the im2col GEMM's.
+one row gather of its window starts.  The backward works on the batch's n_u
+distinct tokens, not its m token positions: per width, one float64 bincount
+adds each max's gradient into D[u, a, filter] (n_u, w, n_filters) for the
+distinct token u that offset a of its window reads.  Then
+g_filters[:, a] = D[:, a].T @ embedding[distinct], and a trainable embedding
+gets d_emb[distinct] = D @ filters over (offset, filter) pairs, one GEMM per
+width.  As n_u <= m, this never does more multiply-adds than GEMMs over the
+packed rows would.  Both weight gradients agree to rounding with an im2col
+GEMM and a per-window scatter of the (windows, w*p) input gradient, and equal
+them bitwise where every product and sum is exact.
 
 Pooling order: the raw convolution (no bias) is max-pooled first, and the
 bias and tanh are applied to the (batch, n_filters) maxima only; both are
@@ -49,8 +52,8 @@ Where the C library has no mallopt, or refuses these values, nothing changes.
 The im2col blocks are the largest temporaries (about 48 MB per batch in
 float32 at embedding width 200, windows 3/4/5 and 128 documents of about 40
 tokens), so the forward frees each block right after its convolution and
-caches only the (m, p) packed rows; a batch holds one block at a time, and
-its temporaries stay within the kept heap top.
+caches no per-position rows; a batch holds one block at a time, and its
+temporaries stay within the kept heap top.
 """
 
 from __future__ import annotations
@@ -283,15 +286,15 @@ def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
             starts.append(start)
     dropped = pooled if dropout_mask is None else pooled * dropout_mask
     out = dropped @ params.proj + params.proj_bias
-    cache = dict(tokens=tokens, e=e, pooled=pooled, dropped=dropped, argmaxes=argmaxes,
+    cache = dict(tokens=tokens, pooled=pooled, dropped=dropped, argmaxes=argmaxes,
                  starts=starts, dropout_mask=dropout_mask) if want_cache else None
     return out, cache
 
 
 def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnParams:
     """Gradients of the cached forward pass, given the upstream d(loss)/d(out).
-    Both weight gradients of a width come from one token-row gradient d_tok
-    (module docstring); the cache is only read."""
+    Each max's gradient goes onto the batch's distinct tokens (module
+    docstring); the cache is only read."""
     cfg = params.config
     nf = cfg.n_filters
     g_proj = cache["dropped"].T @ d_out
@@ -300,34 +303,28 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
     if cache["dropout_mask"] is not None:
         d_pooled = d_pooled * cache["dropout_mask"]
     d_pooled *= 1.0 - cache["pooled"] ** 2              # through tanh at each max
-    tokens, e = cache["tokens"], cache["e"]
+    distinct, token_of = np.unique(cache["tokens"], return_inverse=True)
+    e = params.embedding[distinct]                      # (n_u, p)
     trainable = params.embedding_trainable
-    dtype = params.dtype
-    m = len(tokens)
-    d_e = np.zeros((m, cfg.embedding_dim), dtype) if trainable else None  # per packed token
+    d_e = np.zeros_like(e) if trainable else None       # per distinct token
     g_filters, g_biases = [], []
     for wi, w in enumerate(cfg.window_sizes):
-        start, argmax = cache["starts"][wi], cache["argmaxes"][wi]
         d_max = d_pooled[:, wi * nf:(wi + 1) * nf]
-        # each max's gradient on the token its window starts at; offset a of
-        # a window starting at token s reads, and feeds, token s + a
-        d_tok = np.zeros((m, nf), dtype)
-        d_tok[start[argmax], np.arange(nf)] = d_max
-        g_f = np.empty_like(params.filters[wi])
-        for a in range(w):
-            g_f[:, a] = d_tok[:m - a].T @ e[a:]
-            if trainable:
-                d_e[a:] += d_tok[:m - a] @ params.filters[wi][:, a, :]
-        g_filters.append(g_f)
+        # offset a of the window of max (document, filter) reads distinct
+        # token u; D[u, a, filter] sums, in float64, the maxes that do
+        max_start = cache["starts"][wi][cache["argmaxes"][wi]]        # (batch, n_filters)
+        bins = ((token_of * (w * nf))[max_start[:, None] + np.arange(w)[:, None]]
+                + np.arange(w * nf).reshape(w, nf))                   # (batch, w, n_filters)
+        D = np.bincount(bins.ravel(), weights=np.repeat(d_max, w, axis=0).ravel(),
+                        minlength=len(e) * w * nf).reshape(len(e), w * nf).astype(params.dtype)
+        g_filters.append((D.T @ e).reshape(w, nf, -1).transpose(1, 0, 2))
+        if trainable:
+            d_e += D @ params.filters[wi].transpose(1, 0, 2).reshape(w * nf, -1)
         g_biases.append(d_max.sum(axis=0))
     g_emb = None
     if trainable:
-        # one bin per (token, column), filled in token order from 0.0 as
-        # np.add.at would, but summed in float64 and rounded once
-        p = cfg.embedding_dim
-        bins = (tokens.astype(np.intp)[:, None] * p + np.arange(p)).ravel()
-        g_emb = np.bincount(bins, weights=d_e.ravel(), minlength=params.embedding.size)
-        g_emb = g_emb.reshape(params.embedding.shape).astype(dtype, copy=False)
+        g_emb = np.zeros_like(params.embedding)
+        g_emb[distinct] = d_e
         g_emb[0] = 0.0  # padding row never trains
     return replace(params, embedding=g_emb, filters=g_filters, filter_biases=g_biases,
                    proj=g_proj, proj_bias=g_proj_bias)

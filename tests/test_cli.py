@@ -427,6 +427,20 @@ def test_zero_patience_is_config_error(tmp_path, review_file, capsys):
     assert not (tmp_path / "out/models/PMF.ckpt").exists()
 
 
+def test_negative_stop_tolerance_is_config_error_before_any_work(tmp_path, review_file, capsys,
+                                                                monkeypatch):
+    from biconvmf import factorize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out",
+                       factorization={"early_stop_rel_tol": -1})
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    trained = []
+    monkeypatch.setattr(factorize, "train", lambda *args, **kwargs: trained.append(args))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_CONFIG
+    assert "early_stop_rel_tol must be >= 0, got -1.0" in capsys.readouterr().err
+    assert trained == [] and not (tmp_path / "out/models").exists()
+
+
 @pytest.mark.parametrize("raw, value", [("1", True), ("Yes", True), ("TRUE", True), ("on", True),
                                         ("0", False), ("no", False), ("False", False), ("OFF", False)])
 def test_pretrained_trainable_accepts_boolean_words(tmp_path, review_file, raw, value):

@@ -255,6 +255,13 @@ def test_hyperparams_reject_patience_below_one(patience):
         Hyperparams(model_kind="PMF", early_stop_patience=patience)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-4])
+def test_hyperparams_reject_negative_or_nan_stop_tolerance(tol):
+    # either would switch early stopping off: no relative change is below it
+    with pytest.raises(ValueError, match="early_stop_rel_tol must be >= 0"):
+        Hyperparams(model_kind="PMF", early_stop_rel_tol=tol)
+
+
 @pytest.mark.parametrize("setting", [
     {"lambda_user": float("nan")}, {"lambda_item": float("inf")},
     {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
@@ -356,7 +363,8 @@ def test_fresh_cnns_train_in_float32_throughout(tiny_bundle, monkeypatch):
         out, cache = result
         if cache is None:
             return [out]
-        return [out, cache["e"], cache["pooled"], cache["dropped"], cache["dropout_mask"]]
+        held = [a for v in cache.values() if v is not None for a in (v if isinstance(v, list) else [v])]
+        return [out, *(a for a in held if a.dtype.kind == "f")]
 
     record("_forward_batch", forward_arrays)
     record("_backward_batch", lambda args, result: [args[2], *result.trainable()])

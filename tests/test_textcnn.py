@@ -369,7 +369,10 @@ def scatter_reference_grads(params, docs, lens, targets, target_weight, weight_d
 @pytest.mark.parametrize("batch", ["pooling", "mixed"])
 def test_gradients_equal_the_per_offset_scatter_bitwise(batch, dtype, trainable):
     # dyadic embedding and filters: every convolution is exact, so ties
-    # (repeated n-grams, empty documents) are real and both routes see them
+    # (repeated n-grams, empty documents) are real and both routes see them.
+    # In the pooling batch several maxes share a distinct token, and their
+    # gradients, through tanh, sum in another order than the scatter's
+    rounded = {"float64": 1e-15, "float32": 5e-7}[np.dtype(dtype).name] if batch == "pooling" else 0
     if batch == "pooling":
         params, docs, lens = pooling_batch(dyadic=True)
         targets = np.random.default_rng(131).normal(0, 1, (len(lens), params.config.output_dim))
@@ -381,9 +384,51 @@ def test_gradients_equal_the_per_offset_scatter_bitwise(batch, dtype, trainable)
     _, grads = textcnn._loss_and_grads(params, docs, lens, *rest)
     want = scatter_reference_grads(params, docs, lens, *rest)
     assert (grads.embedding is None) == (not trainable)
+    weights = {id(a) for a in [want.embedding, *want.filters]}
     for g, w in zip(grads.trainable(), want.trainable(), strict=True):
         assert g.dtype == dtype
-        np.testing.assert_array_equal(g, w)
+        if rounded and id(w) in weights:
+            np.testing.assert_allclose(g, w, rtol=0, atol=rounded * np.abs(w).max())
+        else:
+            np.testing.assert_array_equal(g, w)
+
+
+def loop_reference_weight_grads(params, cache, d_out):
+    """Filter and embedding gradients of a cache with pooled features zero
+    (tanh' = 1) and no dropout, by one loop over (document, filter, offset)."""
+    cfg, nf, tokens = params.config, params.config.n_filters, cache["tokens"]
+    d_pooled = d_out @ params.proj.T
+    g_filters = [np.zeros_like(f) for f in params.filters]
+    g_emb = np.zeros_like(params.embedding)
+    for wi, w in enumerate(cfg.window_sizes):
+        for b, f in np.ndindex(len(d_out), nf):
+            first = cache["starts"][wi][cache["argmaxes"][wi][b, f]]
+            for a in range(w):
+                token = tokens[first + a]
+                g_filters[wi][f, a] += d_pooled[b, wi * nf + f] * params.embedding[token]
+                g_emb[token] += d_pooled[b, wi * nf + f] * params.filters[wi][f, a]
+    g_emb[0] = 0.0
+    return g_filters, g_emb
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_distinct_token_backward_is_exact_on_dyadic_values(dtype):
+    # with d_out, proj, filters and embedding all dyadic and tanh' = 1, every
+    # product and sum is exact, so the bincount-and-GEMM route must give the
+    # plain loop's bits, ties (empty documents, repeated n-grams) included
+    params, docs, lens = pooling_batch(dyadic=True)
+    rng = np.random.default_rng(141)
+    params.proj[:] = rng.integers(-3, 4, params.proj.shape) / 8
+    params = params.astype(dtype)
+    _, cache = textcnn._forward_batch(params, docs, lens, None, want_cache=True)
+    cache["pooled"][:] = 0.0
+    d_out = (rng.integers(-3, 4, (len(docs), params.config.output_dim)) / 8).astype(dtype)
+    grads = textcnn._backward_batch(params, cache, d_out)
+    g_filters, g_emb = loop_reference_weight_grads(params, cache, d_out)
+    np.testing.assert_array_equal(grads.embedding, g_emb)
+    for g, want in zip(grads.filters, g_filters, strict=True):
+        assert g.dtype == dtype
+        np.testing.assert_array_equal(g, want)
 
 
 def test_gradients_match_the_per_offset_scatter_at_random_params():
@@ -418,8 +463,8 @@ def test_frozen_embedding_leaves_the_other_gradients_bitwise_equal():
 
 
 def test_backward_leaves_its_cache_intact():
-    # the cache holds the packed embedding rows, not each width's
-    # (windows, w*p) im2col block, and the backward only reads it
+    # the cache holds no row per packed token or window (no embedding rows,
+    # no (windows, w*p) im2col block), and the backward only reads it
     params, docs, lens, targets, weight, decay, mask = mixed_batch()
     out, cache = textcnn._forward_batch(params, docs, lens, mask, want_cache=True)
     d_out = (weight / len(docs)) * (out - targets)
@@ -436,8 +481,9 @@ def test_backward_leaves_its_cache_intact():
     for a, b in zip(arrays(cache), arrays(kept), strict=True):
         assert np.array_equal(a, b)
     p = params.config.embedding_dim
+    m = len(cache["tokens"])
     blocks = {(len(start), w * p) for w, start in zip(params.config.window_sizes, cache["starts"])}
-    assert not any(a.shape in blocks for a in arrays(cache))
+    assert not any(a.shape in blocks | {(m, p), (m, params.config.n_filters)} for a in arrays(cache))
 
 
 # ---------------------------------------------------------------- fitting
@@ -554,8 +600,8 @@ def test_repeated_fit_reuses_its_scratch_memory():
 @pytest.mark.skipif(not textcnn.HEAP_TOP_KEPT, reason="the C library has no mallopt")
 def test_repeated_fit_at_embedding_width_200_reuses_its_scratch_memory(monkeypatch):
     # float32 im2col blocks of about 12, 16 and 20 MB per batch: the forward
-    # frees each one after its convolution and the backward works from the
-    # packed embedding rows alone, so its temporaries fit in the heap top
+    # frees each one after its convolution and the backward works on the
+    # batch's distinct tokens, so its temporaries fit in the heap top
     # kept from the batch before.  Faults are counted inside the backward
     # only: a per-offset scatter of a (windows, w*p) input gradient, with
     # every block cached, took 1,600-3,600 there per fit, while the rest of
