@@ -16,8 +16,14 @@ Each outer iteration alternates exact closed-form row updates
 the fresh factor columns.  Holding the CNN outputs fixed, each half-step is
 an exact minimizer, so the joint loss never increases across it.  One
 function, half_step, serves both sides: it groups the rows of a side by
-their number of ratings and solves each group as one stacked system (the
+their number of ratings and solves each group as stacked systems (the
 batched ALS-WR half-step of Zhou et al., 2008), with no per-row loop.
+
+Memory: the stacked solves and the rating predictions gather factor
+columns per row or per rating, so each works through bounded blocks
+(SOLVE_CHUNK, PAIR_CHUNK) rather than a whole side at once.  Every row's or
+pair's arithmetic is the same in any block, so the results do not depend on
+the block sizes, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ DEFAULT_LAMBDAS = {
     "BiConvMF": (100.0, 100.0),
     "BiConvMF+": (100.0, 100.0),
 }
+
+SOLVE_CHUNK = 1 << 16   # entries of C (rows * d * k) gathered per stacked solve in half_step
+PAIR_CHUNK = 4096       # (user, item) pairs per block of factor columns in pair_dots
 
 MODEL_MAGIC = b"BCMFMODL"
 MODEL_VERSION = 3  # 3: one weight_decay, no model_kind or global_mean; older files are refused
@@ -152,8 +161,9 @@ def half_step(side: CsrSide, fixed: np.ndarray, targets: np.ndarray | None,
 
         (C C^T + lam I_k) x = C y + lam t.
 
-    Rows are grouped by degree d and each group is one stacked solve: for
-    d >= k the k x k system above; for d < k the d x d push-through form
+    Rows are grouped by degree d, and each group is solved as stacked
+    systems of at most max(1, SOLVE_CHUNK // (d k)) rows: for d >= k the
+    k x k system above; for d < k the d x d push-through form
     x = t + C (C^T C + lam I_d)^-1 (y - C^T t), the same minimizer.  Rows
     with no ratings get their target column verbatim.
     """
@@ -163,25 +173,32 @@ def half_step(side: CsrSide, fixed: np.ndarray, targets: np.ndarray | None,
     deg = side.counts()
     order = np.argsort(deg, kind="stable")
     degrees, starts = np.unique(deg[order], return_index=True)
-    for d, rows in zip(degrees, np.split(order, starts[1:])):
+    for d, group in zip(degrees, np.split(order, starts[1:])):
         if d == 0:
             continue
-        entries = side.ptr[rows, None] + np.arange(d)  # (n_d, d)
-        c_t = fixed_rows[side.cols[entries]]            # (n_d, d, k): C^T per row
-        c = c_t.swapaxes(1, 2)                          # (n_d, k, d)
-        y = side.vals[entries]                          # (n_d, d)
-        t = out[:, rows].T                              # (n_d, k)
-        if d < k:
-            a = weighted_gram(c_t)                      # C^T C
-            a[:, np.arange(d), np.arange(d)] += lam
-            z = spd_solve(a, y - np.einsum("ndk,nk->nd", c_t, t))
-            x = t + np.einsum("nkd,nd->nk", c, z)
-        else:
-            a = weighted_gram(c)                        # C C^T
-            a[:, np.arange(k), np.arange(k)] += lam
-            x = spd_solve(a, np.einsum("nkd,nd->nk", c, y) + lam * t)
-        out[:, rows] = x.T
+        step = max(1, SOLVE_CHUNK // (d * k))
+        for first in range(0, len(group), step):
+            rows = group[first:first + step]
+            out[:, rows] = _solve_rows(side, fixed_rows, out[:, rows].T, rows, d, lam).T
     return out
+
+
+def _solve_rows(side: CsrSide, fixed_rows: np.ndarray, t: np.ndarray, rows: np.ndarray,
+                d: int, lam: float) -> np.ndarray:
+    """half_step's solutions (n, k) for rows, all of degree d, with prior means t (n, k)."""
+    k = fixed_rows.shape[1]
+    entries = side.ptr[rows, None] + np.arange(d)      # (n, d)
+    c_t = fixed_rows[side.cols[entries]]                # (n, d, k): C^T per row
+    c = c_t.swapaxes(1, 2)                              # (n, k, d)
+    y = side.vals[entries]                              # (n, d)
+    if d < k:
+        a = weighted_gram(c_t)                          # C^T C
+        a[:, np.arange(d), np.arange(d)] += lam
+        z = spd_solve(a, y - np.einsum("ndk,nk->nd", c_t, t))
+        return t + np.einsum("nkd,nd->nk", c, z)
+    a = weighted_gram(c)                                # C C^T
+    a[:, np.arange(k), np.arange(k)] += lam
+    return spd_solve(a, np.einsum("nkd,nd->nk", c, y) + lam * t)
 
 
 def update_user_factors(ratings: SparseRatings, item_factors: np.ndarray,
@@ -209,7 +226,7 @@ def total_loss(ratings: SparseRatings, user_factors: np.ndarray, item_factors: n
     + (weight_decay/2) * user_weight_sqnorm
     + (weight_decay/2) * item_weight_sqnorm
     """
-    preds = np.einsum("ki,ki->i", user_factors[:, ratings.users], item_factors[:, ratings.items])
+    preds = pair_dots(user_factors, item_factors, ratings.users, ratings.items)
     loss = 0.5 * float(((ratings.ratings - preds) ** 2).sum())
     du = user_factors - targets_user if targets_user is not None else user_factors
     dv = item_factors - targets_item if targets_item is not None else item_factors
@@ -218,6 +235,17 @@ def total_loss(ratings: SparseRatings, user_factors: np.ndarray, item_factors: n
     loss += 0.5 * weight_decay * user_weight_sqnorm
     loss += 0.5 * weight_decay * item_weight_sqnorm
     return loss
+
+
+def pair_dots(user_factors: np.ndarray, item_factors: np.ndarray,
+              users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """u_i . v_j for each pair (users[p], items[p]), gathering the factor
+    columns of PAIR_CHUNK pairs at a time."""
+    dots = np.empty(len(users))
+    for start in range(0, len(users), PAIR_CHUNK):
+        sel = slice(start, start + PAIR_CHUNK)
+        dots[sel] = np.einsum("ki,ki->i", user_factors[:, users[sel]], item_factors[:, items[sel]])
+    return dots
 
 
 @dataclass
@@ -281,7 +309,7 @@ class TrainedModel:
             bad = idx[(idx < 0) | (idx >= n)]
             if bad.size:
                 raise ValueError(f"{side} index {bad[0]} outside [0, {n})")
-        dots = np.einsum("ki,ki->i", self.user_factors[:, user_idx], self.item_factors[:, item_idx])
+        dots = pair_dots(self.user_factors, self.item_factors, user_idx, item_idx)
         warm_u = self.user_train_counts[user_idx] > 0
         warm_i = self.item_train_counts[item_idx] > 0
         preds = np.where(warm_u & warm_i, dots, self.item_means[item_idx])

@@ -7,11 +7,17 @@ Layout (all integers little-endian):
     n_sections  uint32
     sections    repeated: name_len uint16, name utf-8, payload_len uint64, payload
 
-Readers receive the raw payload bytes per section.  Truncated or corrupt
-input raises ContainerError naming the section (or header field) that could
-not be read; an unknown version raises UnsupportedVersionError instead of
-guessing at the layout.  Dataclasses declare their formats with the
-``container`` decorator below.
+A writer's section payload is a bytes-like object or a list of them, written
+one after the other: an array's payload is its .npy header followed by the
+array's own buffer, and a nested container's is that container's chunks, so
+writing a file copies no C-contiguous array.  A reader reads the file once
+and receives each payload as a memoryview into those bytes; each array is
+copied once, out of that view into its own buffer.  Truncated or corrupt
+input, bytes after the last section and a repeated section name raise
+ContainerError naming the section (or header field) that could not be read;
+an unknown version raises UnsupportedVersionError instead of guessing at the
+layout.  Dataclasses declare their formats with the ``container`` decorator
+below.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import fields, is_dataclass
@@ -28,6 +35,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 MAGIC_LEN = 8
+NPY_HEADER_MAX = 10 + 0xFFFF   # longest .npy version 1.0 header: preamble and uint16 length
 
 
 class ContainerError(Exception):
@@ -38,34 +46,38 @@ class UnsupportedVersionError(ContainerError):
     """Container has a valid magic but a version this code does not know."""
 
 
-def _container_chunks(magic: bytes, version: int, sections: dict[str, bytes]) -> list[bytes]:
-    """The container's bytes in order: headers, and each payload itself (not a copy)."""
+def _container_chunks(magic: bytes, version: int, sections: dict) -> list:
+    """The container's bytes in order: headers, and each payload's chunks themselves (not copies)."""
     if len(magic) != MAGIC_LEN:
         raise ValueError(f"magic must be {MAGIC_LEN} bytes, got {len(magic)}")
     chunks = [magic, struct.pack("<II", version, len(sections))]
     for name, payload in sections.items():
+        parts = payload if isinstance(payload, list) else [payload]
         encoded = name.encode("utf-8")
-        chunks += [struct.pack("<H", len(encoded)) + encoded + struct.pack("<Q", len(payload)),
-                   payload]
+        size = sum(memoryview(part).nbytes for part in parts)
+        chunks += [struct.pack("<H", len(encoded)) + encoded + struct.pack("<Q", size), *parts]
     return chunks
 
 
-def pack_container(magic: bytes, version: int, sections: dict[str, bytes]) -> bytes:
+def pack_container(magic: bytes, version: int, sections: dict) -> bytes:
     return b"".join(_container_chunks(magic, version, sections))
 
 
-def unpack_container(blob: bytes, magic: bytes, supported_versions: tuple[int, ...]) -> tuple[int, dict[str, bytes]]:
+def unpack_container(blob, magic: bytes, supported_versions: tuple[int, ...]) -> tuple[int, dict[str, memoryview]]:
+    """The version and the sections of a container's bytes, each payload a
+    memoryview into blob (no copy)."""
+    view = memoryview(blob)
     pos = 0
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal pos
-        chunk = blob[pos:pos + n]
+        chunk = view[pos:pos + n]
         if len(chunk) != n:
             raise ContainerError(f"truncated container: failed reading {what}")
         pos += n
         return chunk
 
-    found_magic = take(MAGIC_LEN, "magic header")
+    found_magic = bytes(take(MAGIC_LEN, "magic header"))
     if found_magic != magic:
         raise ContainerError(f"bad magic header: expected {magic!r}, found {found_magic!r}")
     version, n_sections = struct.unpack("<II", take(8, "version header"))
@@ -73,22 +85,26 @@ def unpack_container(blob: bytes, magic: bytes, supported_versions: tuple[int, .
         raise UnsupportedVersionError(
             f"unsupported container version {version}; supported: {sorted(supported_versions)}"
         )
-    sections: dict[str, bytes] = {}
+    sections: dict[str, memoryview] = {}
     for i in range(n_sections):
         label = f"section {i} header"
         (name_len,) = struct.unpack("<H", take(2, label))
         try:
-            name = take(name_len, label).decode("utf-8")
+            name = str(take(name_len, label), "utf-8")
         except UnicodeDecodeError:
             raise ContainerError(f"bad {label}: name is not valid UTF-8") from None
+        if name in sections:
+            raise ContainerError(f"bad {label}: repeated section name '{name}'")
         (payload_len,) = struct.unpack("<Q", take(8, f"section '{name}' length"))
         sections[name] = take(payload_len, f"section '{name}' payload")
+    if pos != len(view):
+        raise ContainerError(f"{len(view) - pos} unexpected bytes after the last section")
     return version, sections
 
 
-def write_container(path, magic: bytes, version: int, sections: dict[str, bytes]) -> None:
-    """Write a container file atomically (see _write_atomic), chunk by chunk,
-    so the file's bytes are never joined in memory."""
+def write_container(path, magic: bytes, version: int, sections: dict) -> None:
+    """Write a container file atomically (see _write_atomic), chunk by chunk:
+    each payload chunk, an array's buffer included, goes to the file as it is."""
     _write_atomic(path, _container_chunks(magic, version, sections))
 
 
@@ -102,7 +118,7 @@ def temp_path(path) -> Path:
     return Path(f"{path}.tmp")
 
 
-def _write_atomic(path, chunks: list[bytes]) -> None:
+def _write_atomic(path, chunks: list) -> None:
     """Write a temporary file beside path and rename it over path, so that a
     failed write leaves the existing file untouched and no temporary file."""
     tmp = temp_path(path)
@@ -117,37 +133,57 @@ def _write_atomic(path, chunks: list[bytes]) -> None:
         raise
 
 
-def read_container(path, magic: bytes, supported_versions: tuple[int, ...]) -> tuple[int, dict[str, bytes]]:
+def read_container(path, magic: bytes, supported_versions: tuple[int, ...]) -> tuple[int, dict[str, memoryview]]:
+    """Read the file once; its sections are views into those bytes (see unpack_container)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     return unpack_container(blob, magic, supported_versions)
 
 
-def array_to_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
-    return buf.getvalue()
+def array_payload(arr: np.ndarray) -> list:
+    """A section payload holding arr as .npy (version 1.0, C order, as np.save
+    writes it): the header bytes, then a byte view of arr's own buffer, which
+    is copied only when arr is not C-contiguous."""
+    arr = np.ascontiguousarray(arr)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(arr))
+    return [header.getvalue(), arr.reshape(-1).view(np.uint8)]
 
 
-def array_from_bytes(payload: bytes, section: str) -> np.ndarray:
+def array_from_bytes(payload, section: str) -> np.ndarray:
+    """The array of an .npy payload (version 1.0, C order), copied once out of payload."""
     try:
-        return np.load(io.BytesIO(payload), allow_pickle=False)
+        head = io.BytesIO(payload[:NPY_HEADER_MAX])
+        version = np.lib.format.read_magic(head)
+        if version != (1, 0):
+            raise ValueError(f"unsupported .npy version {version}")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(head)
+        if dtype.hasobject:
+            raise ValueError("object arrays are not stored")
+        if fortran_order:
+            raise ValueError("Fortran-order arrays are not stored")
+        count = math.prod(shape)
+        data = memoryview(payload)[head.tell():]
+        if len(data) != count * dtype.itemsize:
+            raise ValueError(f"{count * dtype.itemsize} data bytes expected, {len(data)} found")
+        arr = np.frombuffer(data, dtype, count).copy()
     except Exception as exc:
         raise ContainerError(f"section '{section}' does not hold a valid array: {exc}") from exc
+    return arr.reshape(shape)
 
 
 def json_to_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True).encode("utf-8")
 
 
-def json_from_bytes(payload: bytes, section: str):
+def json_from_bytes(payload, section: str):
     try:
-        return json.loads(payload.decode("utf-8"))
+        return json.loads(str(payload, "utf-8"))
     except Exception as exc:
         raise ContainerError(f"section '{section}' does not hold valid JSON: {exc}") from exc
 
 
-def require_section(sections: dict[str, bytes], name: str) -> bytes:
+def require_section(sections: dict, name: str):
     if name not in sections:
         raise ContainerError(f"missing required section '{name}'")
     return sections[name]
@@ -175,7 +211,7 @@ def container(magic: bytes, version: int, *sections):
 
     The named fields get sections, in this order, after a JSON 'meta' section
     holding the other fields, each under its name (a dataclass as an object).
-    A section holds an ndarray as .npy bytes, a declared dataclass as its
+    A section holds an ndarray as .npy, a declared dataclass as its
     nested container, anything else as JSON.  A None field is left out and
     loads as None if its annotation allows.  A tuple of names declares parallel
     lists of arrays, stored per index as a_0, b_0, a_1, b_1, ...
@@ -196,21 +232,21 @@ def load(cls, path):
     return _from_sections(cls, read_container(path, magic, (version,))[1])
 
 
-def _to_sections(obj) -> dict[str, bytes]:
+def _to_sections(obj) -> dict:
     out, names = {}, []
     for entry in obj.container_format[2]:
         names.extend(entry if isinstance(entry, tuple) else [entry])
         if isinstance(entry, tuple):
             for i in range(len(getattr(obj, entry[0]))):
                 for name in entry:
-                    out[f"{name}_{i}"] = array_to_bytes(getattr(obj, name)[i])
+                    out[f"{name}_{i}"] = array_payload(getattr(obj, name)[i])
             continue
         value = getattr(obj, entry)
         if isinstance(value, np.ndarray):
-            out[entry] = array_to_bytes(value)
+            out[entry] = array_payload(value)
         elif hasattr(value, "container_format"):
             magic, version, _ = value.container_format
-            out[entry] = pack_container(magic, version, _to_sections(value))
+            out[entry] = _container_chunks(magic, version, _to_sections(value))
         elif value is not None:
             out[entry] = json_to_bytes(_plain(value))
     return {"meta": json_to_bytes(_plain(obj, names)), **out}
@@ -225,7 +261,7 @@ def _plain(value, exclude=()):
     return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.name not in exclude}
 
 
-def _from_sections(cls, payloads: dict[str, bytes]):
+def _from_sections(cls, payloads: dict):
     hints = get_type_hints(cls)
     given, expected = {}, {"meta"}
     for entry in cls.container_format[2]:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,18 @@ def make_bundle(n_users=120, n_items=30, corpus_seed=11, split_seed=5,
         max_vocab=max_vocab, max_len=max_len,
         test_fraction=test_fraction, split_seed=split_seed,
     )
+
+
+def traced(fn, *args):
+    """fn(*args), the peak of the memory it allocated and what stays allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        now, peak = tracemalloc.get_traced_memory()
+        return result, peak - base, now - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -408,7 +408,7 @@ def test_evaluate_refuses_checkpoint_missing_meta_key(tmp_path, review_file, cap
     assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
     ckpt = tmp_path / "out/models/PMF.ckpt"
     _, sections = serialize.read_container(ckpt, factorize.MODEL_MAGIC, (factorize.MODEL_VERSION,))
-    meta = json.loads(sections["meta"])
+    meta = serialize.json_from_bytes(sections["meta"], "meta")
     del meta["log"]
     sections["meta"] = serialize.json_to_bytes(meta)
     serialize.write_container(ckpt, factorize.MODEL_MAGIC, factorize.MODEL_VERSION, sections)
@@ -557,7 +557,7 @@ def test_corrupt_array_section_is_data_error(tmp_path, review_file, capsys,
     }[kind]
     _, sections = serialize.read_container(path, magic, (version,))
     arr = serialize.array_from_bytes(sections[section], section)
-    sections[section] = serialize.array_to_bytes(edit(arr, bundle))
+    sections[section] = serialize.array_payload(edit(arr, bundle))
     serialize.write_container(path, magic, version, sections)
     capsys.readouterr()
     assert main([*argv, "--config", str(cfg), "--force"]) == EXIT_DATA
@@ -595,6 +595,32 @@ def test_section_name_that_is_not_utf8_is_data_error(tmp_path, review_file, caps
     where = "section 'cnn_item': " if target == "nested-cnn" else ""
     assert f"{where}bad section 0 header: name is not valid UTF-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("trailing-bytes", "7 unexpected bytes after the last section"),
+    ("repeated-section", "repeated section name 'meta'"),
+])
+def test_malformed_bundle_container_is_data_error(tmp_path, review_file, capsys, damage, message):
+    import struct
+
+    from biconvmf import corpus, serialize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    path = tmp_path / "out/corpus/bundle.bcmf"
+    blob = bytearray(path.read_bytes())
+    if damage == "trailing-bytes":
+        blob += b"garbage"
+    else:   # one more section, a second 'meta'
+        _, sections = serialize.read_container(path, corpus.BUNDLE_MAGIC, (corpus.BUNDLE_VERSION,))
+        meta = bytes(sections["meta"])
+        struct.pack_into("<I", blob, 12, len(sections) + 1)
+        blob += struct.pack("<H", 4) + b"meta" + struct.pack("<Q", len(meta)) + meta
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("extra, message", [

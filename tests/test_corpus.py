@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from biconvmf.corpus import (
     tensorize,
     tokenize,
 )
+from conftest import make_bundle, traced
 
 
 def line(**kw):
@@ -311,12 +312,26 @@ def test_bundle_meta_mismatch_refused(tmp_path, tiny_bundle, edit, message):
     path = tmp_path / "bundle.bcmf"
     corpus.save_bundle(tiny_bundle, path)
     _, sections = serialize.read_container(path, corpus.BUNDLE_MAGIC, (1,))
-    meta = json.loads(sections["meta"])
+    meta = serialize.json_from_bytes(sections["meta"], "meta")
     edit(meta)
     sections["meta"] = serialize.json_to_bytes(meta)
     serialize.write_container(path, corpus.BUNDLE_MAGIC, 1, sections)
     with pytest.raises(serialize.ContainerError, match=message):
         corpus.load_bundle(path)
+
+
+def test_bundle_save_and_load_copy_no_array_twice(tmp_path):
+    # documents of 2,000 users make up nearly all of the file; save copies no
+    # array, and load holds the file's bytes once beside the bundle it returns
+    bundle = make_bundle(n_users=2000, n_items=100, max_len=64)
+    array_bytes = sum(getattr(bundle, f.name).nbytes for f in fields(bundle)
+                      if isinstance(getattr(bundle, f.name), np.ndarray))
+    path = tmp_path / "bundle.bcmf"
+    _, save_peak, _ = traced(corpus.save_bundle, bundle, path)
+    assert save_peak <= 0.5 * array_bytes
+    back, load_peak, kept = traced(corpus.load_bundle, path)
+    assert load_peak - kept <= 1.25 * path.stat().st_size
+    np.testing.assert_array_equal(back.user_docs, bundle.user_docs)
 
 
 def test_bundle_build_is_deterministic():

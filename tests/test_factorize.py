@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +12,7 @@ from biconvmf.factorize import (
     update_item_factors,
     update_user_factors,
 )
+from conftest import traced
 
 def small_ratings(seed=3, n_users=7, n_items=5, n=15):
     rng = np.random.default_rng(seed)
@@ -205,6 +205,50 @@ def test_half_step_leaves_targets_untouched():
     assert np.array_equal(targets, before)
 
 
+def mixed_degree_ratings(rng, k):
+    """Users of degree 0, 2 (< k, five rows) and k + 3 (>= k, three rows); items of many degrees."""
+    degrees = np.array([2, 0, k + 3, 2, 2, k + 3, 2, k + 3, 2])
+    users = np.repeat(np.arange(len(degrees)), degrees)
+    items = rng.integers(0, 6, len(users))
+    return SparseRatings(users, items, rng.uniform(1, 5, len(users)), len(degrees), 6)
+
+
+@pytest.mark.parametrize("k", [4, 50])
+def test_half_step_is_bitwise_the_same_for_every_chunk_size(monkeypatch, k):
+    # the degree-2 group takes the push-through solve and the degree-(k + 3)
+    # group the primal one; a chunk of 2 (k + 3) k entries splits the latter
+    # 2 + 1 (a one-row tail), one of 3 * 2 * k the degree-2 group 3 + 2, and a
+    # chunk of 1 solves row by row, as SOLVE_CHUNK does any row with d k above
+    # it; k = 50 is the training width
+    rng = np.random.default_rng(5)
+    ratings = mixed_degree_ratings(rng, k)
+    u, v = rng.normal(0, 1, (k, ratings.n_users)), rng.normal(0, 1, (k, ratings.n_items))
+    tu, tv = rng.normal(0, 1, u.shape), rng.normal(0, 1, v.shape)
+    results = []
+    for chunk in (10**9, 1, 2 * (k + 3) * k, 3 * 2 * k):
+        monkeypatch.setattr(factorize, "SOLVE_CHUNK", chunk)
+        results.append([update_user_factors(ratings, v, tu, 2.5), update_user_factors(ratings, v, None, 0.5),
+                        update_item_factors(ratings, u, tv, 3.0)])
+    for got in results[1:]:
+        for a, b in zip(results[0], got):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_half_step_holds_one_chunk_of_gathered_columns(monkeypatch):
+    # 6,000 users of degree 3 at k = 16: the whole group's C^T alone would be
+    # 2.3 MB; beyond the result, half_step may hold only per-row index arrays
+    # and one SOLVE_CHUNK block
+    monkeypatch.setattr(factorize, "SOLVE_CHUNK", 4096)
+    rng = np.random.default_rng(8)
+    k, n_users, n_items = 16, 6000, 40
+    users = np.repeat(np.arange(n_users), 3)
+    ratings = SparseRatings(users, rng.integers(0, n_items, len(users)),
+                            rng.uniform(1, 5, len(users)), n_users, n_items)
+    v = rng.normal(0, 1, (k, n_items))
+    out, peak, _ = traced(factorize.half_step, ratings.by_user, v, None, 1.0)
+    assert peak <= out.nbytes + 8 * 8 * n_users + 16 * 8 * factorize.SOLVE_CHUNK
+
+
 # ---------------------------------------------------------------- joint loss
 
 def test_loss_zero_factors_is_half_sum_of_squares():
@@ -245,6 +289,30 @@ def test_loss_matches_naive_summation():
     naive += 0.5 * wd * nu + 0.5 * wd * nv
     got = total_loss(ratings, u, v, tu, tv, lu, lv, wd, nu, nv)
     assert got == pytest.approx(naive, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [3, 50])
+def test_loss_is_bitwise_the_same_for_every_chunk_size(monkeypatch, k):
+    rng = np.random.default_rng(6)
+    ratings = small_ratings(6, n=23)
+    u, v = rng.normal(0, 1, (k, ratings.n_users)), rng.normal(0, 1, (k, ratings.n_items))
+    losses = []
+    # 5: four full chunks and a three-pair tail; 11: two and a one-pair tail
+    for chunk in (10**9, 1, 5, 11):
+        monkeypatch.setattr(factorize, "PAIR_CHUNK", chunk)
+        losses.append(total_loss(ratings, u, v, None, v[::-1], 1.5, 0.5))
+    assert losses[1:] == losses[:1] * 3
+
+
+def test_loss_holds_one_chunk_of_gathered_columns(monkeypatch):
+    # 40,000 ratings at k = 16: gathering all their factor columns would take
+    # 10 MB; beyond the factors' size, the loss may hold a few floats per rating
+    monkeypatch.setattr(factorize, "PAIR_CHUNK", 256)
+    rng = np.random.default_rng(7)
+    ratings = small_ratings(7, n_users=50, n_items=40, n=40000)
+    u, v = rng.normal(0, 1, (16, 50)), rng.normal(0, 1, (16, 40))
+    _, peak, _ = traced(total_loss, ratings, u, v, None, None, 1.0, 1.0)
+    assert peak <= 4 * 8 * len(ratings) + 2 * (u.nbytes + v.nbytes) + 4 * 8 * 16 * factorize.PAIR_CHUNK
 
 
 # ---------------------------------------------------------------- training
@@ -577,7 +645,7 @@ def test_checkpoint_records_the_training_split_digest(tmp_path, tiny_bundle):
 
 def edit_checkpoint(path, edit):
     _, sections = serialize.read_container(path, factorize.MODEL_MAGIC, (factorize.MODEL_VERSION,))
-    meta = json.loads(sections["meta"])
+    meta = serialize.json_from_bytes(sections["meta"], "meta")
     edit(meta, sections)
     sections["meta"] = serialize.json_to_bytes(meta)
     serialize.write_container(path, factorize.MODEL_MAGIC, factorize.MODEL_VERSION, sections)

@@ -1,5 +1,6 @@
 import builtins
-import json
+import io
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ MAGIC = b"TESTMAGC"
 def test_roundtrip(tmp_path):
     sections = {
         "meta": serialize.json_to_bytes({"a": 1, "b": [1, 2]}),
-        "arr": serialize.array_to_bytes(np.arange(12, dtype=np.float64).reshape(3, 4)),
+        "arr": serialize.array_payload(np.arange(12, dtype=np.float64).reshape(3, 4)),
     }
     path = tmp_path / "c.bin"
     serialize.write_container(path, MAGIC, 1, sections)
@@ -47,6 +48,76 @@ def test_truncated_header():
     blob = serialize.pack_container(MAGIC, 1, {})
     with pytest.raises(serialize.ContainerError, match="truncated"):
         serialize.unpack_container(blob[:10], MAGIC, (1,))
+
+
+def section_bytes(name: str, payload: bytes) -> bytes:
+    encoded = name.encode("utf-8")
+    return struct.pack("<H", len(encoded)) + encoded + struct.pack("<Q", len(payload)) + payload
+
+
+def test_bytes_after_the_last_section_are_refused():
+    blob = serialize.pack_container(MAGIC, 1, {"a": b"0123"}) + b"garbage"
+    with pytest.raises(serialize.ContainerError, match="^7 unexpected bytes after the last section$"):
+        serialize.unpack_container(blob, MAGIC, (1,))
+
+
+def test_repeated_section_name_is_refused():
+    blob = (MAGIC + struct.pack("<II", 1, 3) + section_bytes("a", b"first")
+            + section_bytes("b", b"") + section_bytes("a", b"second"))
+    with pytest.raises(serialize.ContainerError,
+                       match="^bad section 2 header: repeated section name 'a'$"):
+        serialize.unpack_container(blob, MAGIC, (1,))
+
+
+def test_sections_are_views_into_the_bytes_read():
+    blob = serialize.pack_container(MAGIC, 1, {"a": b"0123", "b": b"xy"})
+    _, sections = serialize.unpack_container(blob, MAGIC, (1,))
+    assert {name: bytes(view) for name, view in sections.items()} == {"a": b"0123", "b": b"xy"}
+    assert all(view.obj is blob for view in sections.values())
+
+
+ARRAYS = {
+    "float64": np.arange(12, dtype=np.float64).reshape(3, 4) / 7,
+    "float32-3d": np.linspace(-1, 1, 24, dtype=np.float32).reshape(2, 3, 4),
+    "int32": np.arange(-5, 5, dtype=np.int32),
+    "int64-empty": np.zeros((0, 3), dtype=np.int64),
+    "bool": np.array([True, False, True]),
+    "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    "strided": np.arange(20.0)[::3],
+    "scalar": np.array(2.5),
+}
+
+
+@pytest.mark.parametrize("arr", ARRAYS.values(), ids=ARRAYS.keys())
+def test_array_payload_holds_the_bytes_np_save_writes(arr):
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
+    payload = b"".join(serialize.array_payload(arr))
+    assert payload == buf.getvalue()
+    back = serialize.array_from_bytes(memoryview(payload), "x")
+    np.testing.assert_array_equal(back, arr.reshape(back.shape))
+    assert back.dtype == arr.dtype and back.flags.writeable
+    assert not np.shares_memory(back, np.frombuffer(payload, np.uint8))
+
+
+def test_array_payload_does_not_copy_a_contiguous_array():
+    arr = np.arange(10.0)
+    assert np.shares_memory(serialize.array_payload(arr)[1], arr)
+
+
+@pytest.mark.parametrize("edit", [lambda b: b + b"\0", lambda b: b[:-1], lambda b: b"\x93NUMPX" + b[6:]],
+                         ids=["extra-byte", "short", "bad-magic"])
+def test_malformed_array_payload_is_refused(edit):
+    payload = b"".join(serialize.array_payload(np.arange(4, dtype=np.int32)))
+    with pytest.raises(serialize.ContainerError, match="section 'x' does not hold a valid array"):
+        serialize.array_from_bytes(edit(payload), "x")
+
+
+def test_fortran_order_array_payload_is_refused():
+    buf = io.BytesIO()
+    np.save(buf, np.asfortranarray(np.arange(6.0).reshape(2, 3)), allow_pickle=False)
+    with pytest.raises(serialize.ContainerError, match="section 'x' does not hold a valid array: Fortran"):
+        serialize.array_from_bytes(buf.getvalue(), "x")
 
 
 def test_missing_section():
@@ -148,10 +219,10 @@ def test_declared_format_layout_and_bytewise_roundtrip(tmp_path):
     version, sections = serialize.read_container(path, MAGIC, (3,))
     assert version == 3
     assert list(sections) == ["meta", "ids", "values", "inner"]
-    assert json.loads(sections["meta"]) == {"name": "demo", "log": {"losses": [1.5, 0.25]}}
+    assert serialize.json_from_bytes(sections["meta"], "meta") == {"name": "demo", "log": {"losses": [1.5, 0.25]}}
     _, inner = serialize.unpack_container(sections["inner"], b"TESTINNR", (1,))
     assert list(inner) == ["meta", "weights", "a_0", "b_0", "a_1", "b_1"]
-    assert json.loads(inner["meta"]) == {"shape": {"rows": 2, "tags": ["x", "y"]}}
+    assert serialize.json_from_bytes(inner["meta"], "meta") == {"shape": {"rows": 2, "tags": ["x", "y"]}}
 
     back = serialize.load(Outer, path)
     assert back.log == Log([1.5, 0.25])
@@ -164,7 +235,7 @@ def test_declared_format_layout_and_bytewise_roundtrip(tmp_path):
 
 def edit_meta(fn):
     def edit(sections):
-        meta = json.loads(sections["meta"])
+        meta = serialize.json_from_bytes(sections["meta"], "meta")
         fn(meta)
         sections["meta"] = serialize.json_to_bytes(meta)
     return edit
