@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Memory high-water of each phase from ingest to a trained PMF model.
+"""Memory high-water and seconds of each phase from ingest to a trained PMF model.
 
     python3 scripts/memory_phases.py [--users 13533 --items 311 --records 20000]
         [--factors 50] [--outer-iters 2]
@@ -14,7 +14,8 @@ train (factorize.train and evaluate_model).
 The phases run twice, each time in a fresh single-threaded process:
 
   * once untraced, for vm_hwm_mb: the process's peak resident set (VmHWM)
-    after each phase, so it only ever grows;
+    after each phase, so it only ever grows; and for seconds: the phase's
+    wall-clock time (import counts from just before the package import);
   * once under tracemalloc, for tracemalloc_peak_mb: the peak of Python and
     numpy allocations during each phase alone (the peak is reset between
     phases), and tracemalloc_mb, what is still allocated at its end.
@@ -31,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -63,14 +65,18 @@ def run_phases(input_path: Path, work: Path, n_records: int, factors: int, outer
     if traced:
         tracemalloc.start()
     marks = {}
+    last = time.perf_counter()
 
     def mark(phase):
+        nonlocal last
         if traced:
             now, peak = tracemalloc.get_traced_memory()
             marks[phase] = {"tracemalloc_peak_mb": peak / 2**20, "tracemalloc_mb": now / 2**20}
             tracemalloc.reset_peak()
         else:
-            marks[phase] = {"vm_hwm_mb": vm_hwm_mb()}
+            now = time.perf_counter()
+            marks[phase] = {"vm_hwm_mb": vm_hwm_mb(), "seconds": now - last}
+            last = now
 
     from biconvmf import corpus, evaluate, factorize
     mark("import")

@@ -1,21 +1,24 @@
 """Review ingestion and text preparation.
 
 Turns a JSON-lines review dump (fields reviewerID, asin, overall,
-reviewText) into the inputs the factorization needs: per-user and per-item
-review sets, a vocabulary, fixed-length token-index documents, and
-optionally a pretrained embedding table.  Review sets are built from the
-training split only, so no test text ever reaches the vocabulary or the
-documents.
-
-Each training review is tokenized once: its tokens extend both its user's
-and its item's token list, and the vocabulary and the documents are built
-from those lists.  No token spans a review boundary, and lowercasing maps
-each character on its own (Greek final sigma aside, which is not in
-[a-z0-9]), so a side's list is the token sequence of its reviews joined
-with spaces.
+reviewText) into the inputs the factorization needs: a vocabulary, one
+fixed-length token-index document per user and per item, and optionally a
+pretrained embedding table.  The vocabulary and the documents are built from
+the training split only, so no test text ever reaches them.
 
 Tokenization is deliberately simple and reproducible: lowercase, keep
-maximal [a-z0-9] runs, no stemming and no stopword list.
+maximal [a-z0-9] runs, no stemming and no stopword list.  It runs on bytes:
+the lowercased text is UTF-8 encoded, every byte outside [a-z0-9] becomes a
+space (each byte of a non-ASCII character is >= 0x80), and the result is
+split on spaces.  That gives exactly the [a-z0-9]+ runs of the lowercased
+text.
+
+Each training review is tokenized once, straight to integer token ids, and
+its ids extend both its user's and its item's document.  No token spans a
+review boundary, and lowercasing maps each character on its own (Greek
+final sigma aside, which is not in [a-z0-9]), so a side's document is the
+token sequence of its reviews joined with spaces, less the tokens outside
+the vocabulary, truncated to max_len.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import re
-import sys
-from collections import Counter
+from array import array
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +35,9 @@ import numpy as np
 
 from . import serialize
 
-TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Maps each byte in [a-z0-9] to itself and every other byte to a space.
+TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for b in range(256))
+JSON_WHITESPACE = " \t\n\r"
 
 BUNDLE_MAGIC = b"BCMFCORP"
 BUNDLE_VERSION = 1
@@ -57,12 +61,7 @@ class EmbeddingFormatError(ValueError):
     """Pretrained embedding file does not match the expected text format."""
 
 
-@dataclass(frozen=True)
-class ReviewRecord:
-    user_id: str
-    item_id: str
-    rating: float
-    review_text: str = ""
+ReviewRecord = namedtuple("ReviewRecord", "user_id item_id rating review_text", defaults=("",))
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,7 @@ class DatasetStats:
         return 100.0 * self.density
 
 
-def tokenize(text: str) -> list[str]:
-    return TOKEN_RE.findall(text.lower())
+_decode = json.JSONDecoder().raw_decode
 
 
 def parse_reviews(source):
@@ -87,7 +85,9 @@ def parse_reviews(source):
     Each line must be a JSON object with non-empty string reviewerID and
     asin and a finite numeric overall in [1, 5]; a missing reviewText
     becomes the empty string.  A malformed line, or one that is not valid
-    UTF-8, raises ReviewParseError with its line number.
+    UTF-8, raises ReviewParseError with its line number.  Lines are read as
+    json.loads reads them: JSON whitespace around the object is allowed,
+    anything else after it is "Extra data".
     """
     if isinstance(source, (str, Path)):
         # undecodable bytes come through as lone surrogates, refused below
@@ -95,13 +95,23 @@ def parse_reviews(source):
             yield from parse_reviews(fh)
         return
     for line_no, line in enumerate(source, start=1):
+        text = line.strip(JSON_WHITESPACE)
         try:
-            line.encode("utf-8")
-            obj = json.loads(line)
+            text.encode("utf-8")
+            obj, end = _decode(text)
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
         except UnicodeEncodeError:
             raise ReviewParseError(line_no, "not valid UTF-8") from None
         except json.JSONDecodeError as exc:
-            raise ReviewParseError(line_no, f"invalid JSON ({exc.msg})") from None
+            reason = exc.msg
+            if text.startswith("\ufeff"):
+                reason = "Unexpected UTF-8 BOM (decode using utf-8-sig)"   # json.loads's words
+            raise ReviewParseError(line_no, f"invalid JSON ({reason})") from None
+        except ValueError as exc:   # an integer literal past Python's digit limit
+            raise ReviewParseError(line_no, f"invalid JSON ({exc})") from None
+        except RecursionError:
+            raise ReviewParseError(line_no, "invalid JSON (nested too deeply)") from None
         yield _record_from_obj(obj, line_no)
 
 
@@ -117,8 +127,11 @@ def _record_from_obj(obj, line_no: int) -> ReviewRecord:
         raise ReviewParseError(line_no, "missing or empty asin")
     if isinstance(rating, bool) or not isinstance(rating, (int, float)):
         raise ReviewParseError(line_no, "missing or non-numeric overall rating")
-    rating = float(rating)
-    if not np.isfinite(rating) or not 1.0 <= rating <= 5.0:
+    try:
+        rating = float(rating)
+    except OverflowError:   # an integer beyond the float range
+        rating = float("inf") if rating > 0 else float("-inf")
+    if not 1.0 <= rating <= 5.0:    # NaN and the infinities fail this too
         raise ReviewParseError(line_no, f"rating {rating} outside [1, 5]")
     text = obj.get("reviewText", "")
     if text is None:
@@ -139,23 +152,6 @@ def take_first_n(records, n: int) -> tuple[list[ReviewRecord], DatasetStats]:
     return head, DatasetStats(len(users), len(items), len(head), density)
 
 
-def build_review_sets(records) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """Each user's and each item's review tokens, in record order.
-
-    Every review is tokenized once and its tokens, interned so that both
-    lists share one string per distinct token, extend its user's and its
-    item's list.  The caller must pass training-split records only; that is
-    what keeps test text out of the vocabulary and documents.
-    """
-    user_tokens: dict[str, list[str]] = {}
-    item_tokens: dict[str, list[str]] = {}
-    for rec in records:
-        toks = list(map(sys.intern, tokenize(rec.review_text)))
-        user_tokens.setdefault(rec.user_id, []).extend(toks)
-        item_tokens.setdefault(rec.item_id, []).extend(toks)
-    return user_tokens, item_tokens
-
-
 class Vocabulary:
     """Token -> index map; index 0 is reserved for padding and OOV.  Iterates over the tokens."""
 
@@ -172,38 +168,6 @@ class Vocabulary:
 
     def __iter__(self):
         return iter(self.tokens)
-
-
-def build_vocabulary(docs, max_vocab: int = DEFAULT_MAX_VOCAB,
-                     min_doc_freq: int = DEFAULT_MIN_DOC_FREQ) -> Vocabulary:
-    """Rank tokens by total frequency (ties lexicographic) and truncate.
-
-    docs are token lists (a str would be counted character by character).
-    Tokens appearing in fewer than min_doc_freq documents are dropped before
-    ranking.  Deterministic for a given document sequence.
-    """
-    if max_vocab < 1:
-        raise ValueError(f"max_vocab must be >= 1, got {max_vocab}")
-    total: Counter[str] = Counter()
-    doc_freq: Counter[str] = Counter()
-    for toks in docs:
-        total.update(toks)
-        doc_freq.update(set(toks))
-    eligible = [t for t in total if doc_freq[t] >= min_doc_freq]
-    eligible.sort(key=lambda t: (-total[t], t))
-    return Vocabulary(eligible[:max_vocab])
-
-
-def tensorize(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
-    """Vocabulary indices of the first max_len in-vocabulary tokens.
-
-    Out-of-vocabulary tokens are dropped: they neither occupy a position
-    nor count toward max_len.
-    """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    # indices start at 1, so filter(None, ...) drops exactly the misses
-    return list(itertools.islice(filter(None, map(vocab._index.get, tokens)), max_len))
 
 
 def load_pretrained_embeddings(path, vocab: Vocabulary, embedding_dim: int,
@@ -340,10 +304,21 @@ def build_bundle(records: list[ReviewRecord], train_idx, test_idx,
                  split_seed: int = 0) -> CorpusBundle:
     """Assemble the corpus bundle from records plus a train/test index split.
 
-    Ids are mapped in first-appearance order over all records.  Review sets,
-    the vocabulary, and the documents come from the training records only;
-    users or items that appear only in test get all-padding documents.
+    Ids are mapped in first-appearance order over all records.  The
+    vocabulary and the documents come from the training records only; users
+    or items that appear only in test get all-padding documents.
+
+    The vocabulary ranks tokens by total frequency, ties lexicographic, and
+    keeps the first max_vocab of those that appear in at least min_doc_freq
+    documents (user and item documents both count).  A document holds the
+    vocabulary indices (from 1; 0 pads) of its first max_len in-vocabulary
+    tokens: out-of-vocabulary tokens neither occupy a position nor count
+    toward max_len.
     """
+    if max_vocab < 1:
+        raise ValueError(f"max_vocab must be >= 1, got {max_vocab}")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     train_idx = np.sort(np.asarray(train_idx, dtype=np.int64))
     test_idx = np.sort(np.asarray(test_idx, dtype=np.int64))
     n = len(records)
@@ -355,46 +330,106 @@ def build_bundle(records: list[ReviewRecord], train_idx, test_idx,
     if len(train_idx) == 0:
         raise ValueError("training split is empty")
 
-    user_pos: dict[str, int] = {}
-    item_pos: dict[str, int] = {}
-    rec_user = np.empty(n, dtype=np.int32)
-    rec_item = np.empty(n, dtype=np.int32)
-    rec_rating = np.empty(n, dtype=np.float64)
-    for k, rec in enumerate(records):
-        rec_user[k] = user_pos.setdefault(rec.user_id, len(user_pos))
-        rec_item[k] = item_pos.setdefault(rec.item_id, len(item_pos))
-        rec_rating[k] = rec.rating
+    users, items, ratings, texts = zip(*records)
+    user_pos = defaultdict(itertools.count().__next__)
+    item_pos = defaultdict(itertools.count().__next__)
+    rec_user = np.fromiter(map(user_pos.__getitem__, users), np.int32, n)
+    rec_item = np.fromiter(map(item_pos.__getitem__, items), np.int32, n)
+    rec_rating = np.array(ratings, dtype=np.float64)
     user_ids = list(user_pos)
     item_ids = list(item_pos)
+    train_user, train_item = rec_user[train_idx], rec_item[train_idx]
 
-    user_tokens, item_tokens = build_review_sets(records[i] for i in train_idx)
-    vocab = build_vocabulary(
-        itertools.chain(user_tokens.values(), item_tokens.values()),
-        max_vocab=max_vocab, min_doc_freq=min_doc_freq,
-    )
+    # Every training review's token ids, in record order, and its token count;
+    # ids number the distinct tokens by first appearance.
+    token_pos = defaultdict(itertools.count().__next__)
+    ids, counts = array("i"), array("i")
+    for k in train_idx.tolist():
+        toks = texts[k].lower().encode("utf-8", "surrogatepass").translate(TOKEN_BYTES).split()
+        ids.extend(map(token_pos.__getitem__, toks))
+        counts.append(len(toks))
+    del users, items, ratings, texts
+    tokens = list(token_pos)
+    ids = np.frombuffer(ids, dtype=np.int32)
+    counts = np.frombuffer(counts, dtype=np.int32)
 
-    def doc_block(ids, token_lists):
-        docs = np.zeros((len(ids), max_len), dtype=np.int32)
-        lens = np.zeros(len(ids), dtype=np.int32)
-        for row, key in enumerate(ids):
-            kept = tensorize(token_lists.get(key, ()), vocab, max_len)
-            docs[row, :len(kept)] = kept
-            lens[row] = len(kept)
-        return docs, lens
+    doc_freq = (_owners_per_token(ids, counts, train_user, len(user_ids), len(tokens))
+                + _owners_per_token(ids, counts, train_item, len(item_ids), len(tokens)))
+    eligible = np.flatnonzero(doc_freq >= min_doc_freq)
+    lex_rank = np.empty(len(tokens), dtype=np.int64)
+    lex_rank[sorted(range(len(tokens)), key=tokens.__getitem__)] = np.arange(len(tokens))
+    total = np.bincount(ids, minlength=len(tokens))
+    chosen = eligible[np.lexsort((lex_rank[eligible], -total[eligible]))][:max_vocab]
+    vocab = Vocabulary(tokens[t].decode("ascii") for t in chosen.tolist())
+    del tokens, token_pos, lex_rank, total
 
-    user_docs, user_doc_lens = doc_block(user_ids, user_tokens)
-    item_docs, item_doc_lens = doc_block(item_ids, item_tokens)
+    # The in-vocabulary indices of each review, and how many it has.
+    index = np.zeros(len(doc_freq), dtype=np.int32)
+    index[chosen] = np.arange(1, len(chosen) + 1, dtype=np.int32)
+    ids = index[ids]
+    in_vocab = ids != 0
+    review = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    review_kept = np.bincount(review[in_vocab], minlength=len(counts))
+    ids = ids[in_vocab]
+    del in_vocab, review
+
+    user_docs, user_doc_lens = _documents(ids, review_kept, train_user, len(user_ids), max_len)
+    item_docs, item_doc_lens = _documents(ids, review_kept, train_item, len(item_ids), max_len)
     stats = DatasetStats(len(user_ids), len(item_ids), n, n / (len(user_ids) * len(item_ids)))
     return CorpusBundle(
         vocab=vocab, max_len=max_len, user_ids=user_ids, item_ids=item_ids,
         user_docs=user_docs, user_doc_lens=user_doc_lens,
         item_docs=item_docs, item_doc_lens=item_doc_lens,
-        train_user_idx=rec_user[train_idx], train_item_idx=rec_item[train_idx],
+        train_user_idx=train_user, train_item_idx=train_item,
         train_ratings=rec_rating[train_idx],
         test_user_idx=rec_user[test_idx], test_item_idx=rec_item[test_idx],
         test_ratings=rec_rating[test_idx],
         stats=stats, test_fraction=test_fraction, split_seed=split_seed,
     )
+
+
+def _owners_per_token(ids, counts, owner, n_owners: int, n_tokens: int) -> np.ndarray:
+    """How many owners (users, or items) have each token id in their reviews.
+
+    ids are the reviews' token ids end to end, counts each review's number
+    of tokens and owner each review's owner.  The (owner, token) pairs are
+    counted once each, by sorting.
+    """
+    dtype = np.int32 if n_owners * n_tokens < 2**31 else np.int64
+    pairs = np.repeat(owner.astype(dtype), counts)
+    pairs *= n_tokens
+    pairs += ids
+    pairs.sort()
+    first = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    pairs = pairs[first]
+    pairs %= n_tokens
+    return np.bincount(pairs, minlength=n_tokens)
+
+
+def _documents(ids, review_kept, owner, n_owners: int, max_len: int):
+    """Each owner's document: its reviews' ids in record order, truncated
+    to max_len and right-padded with 0; and the documents' lengths.
+
+    ids are the reviews' kept token ids end to end, review_kept each
+    review's number of them and owner each review's owner.
+    """
+    order = np.argsort(owner, kind="stable")
+    own = owner[order].astype(np.int64)
+    n_kept = review_kept[order]
+    start = np.cumsum(n_kept) - n_kept                  # in the owner-sorted stream
+    offset = start - start[np.searchsorted(own, own)]   # inside the owner's document
+    n_copied = np.clip(max_len - offset, 0, n_kept)
+    slot = np.cumsum(n_copied) - n_copied               # first of each review's slots
+    slots = np.arange(n_copied.sum())
+    src = np.repeat((np.cumsum(review_kept) - review_kept)[order] - slot, n_copied)
+    src += slots
+    dst = np.repeat(own * max_len + offset - slot, n_copied)
+    dst += slots
+    docs = np.zeros((n_owners, max_len), dtype=np.int32)
+    docs.reshape(-1)[dst] = ids[src]
+    lens = np.bincount(own, weights=n_copied, minlength=n_owners).astype(np.int32)
+    return docs, lens
 
 
 def save_bundle(bundle: CorpusBundle, path) -> None:

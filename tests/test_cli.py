@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,8 @@ import pytest
 
 from biconvmf import linalg, synthetic
 from biconvmf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TRAIN, load_config, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +293,32 @@ def test_missing_data_file_is_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path, tmp_path / "missing.json", tmp_path / "out")
     assert main(["ingest", "--config", str(cfg)]) == EXIT_DATA
     assert "review file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overall, message", [
+    ("1" + "0" * 400, "line 2: rating inf outside [1, 5]"),
+    ("1" + "0" * 4400, "line 2: invalid JSON (Exceeds the limit (4300 digits)"),
+], ids=["past-float-range", "past-digit-limit"])
+def test_huge_integer_rating_is_data_error_naming_its_line(tmp_path, capsys, overall, message):
+    reviews = tmp_path / "reviews.json"
+    reviews.write_text('{"reviewerID": "A", "asin": "B", "overall": 4}\n'
+                       '{"reviewerID": "A", "asin": "C", "overall": %s}\n' % overall, encoding="utf-8")
+    assert main(["ingest", "--config", str(write_config(tmp_path, reviews, tmp_path / "out"))]) == EXIT_DATA
+    assert f"data error: {message}" in capsys.readouterr().err
+
+
+def test_ingest_is_byte_identical_across_hash_seeds(tmp_path, review_file):
+    bundles = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"out{hash_seed}"
+        cfg = write_config(tmp_path, review_file, out)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, "-c", "import sys; from biconvmf.cli import main; sys.exit(main())",
+                        "ingest", "--config", str(cfg)],
+                       env=env, capture_output=True, check=True, timeout=120)
+        bundles.append((out / "corpus/bundle.bcmf").read_bytes())
+    assert bundles[0] == bundles[1]
 
 
 def test_unknown_model_rejected(tmp_path, review_file, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,13 +11,10 @@ from biconvmf import corpus, serialize
 from biconvmf.corpus import (
     ReviewParseError,
     ReviewRecord,
-    build_review_sets,
-    build_vocabulary,
+    Vocabulary,
     load_pretrained_embeddings,
     parse_reviews,
     take_first_n,
-    tensorize,
-    tokenize,
 )
 from conftest import make_bundle, traced
 
@@ -60,6 +58,97 @@ def test_parse_reads_files(tmp_path):
     assert len(list(parse_reviews(path))) == 1
 
 
+def reference_parse(lines):
+    """parse_reviews by its definition: per line, json.loads and
+    _record_from_obj.  The records up to the first bad line, then that
+    line's ReviewParseError (or None)."""
+    records = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            try:
+                line.encode("utf-8")
+                obj = json.loads(line)
+            except UnicodeEncodeError:
+                raise ReviewParseError(line_no, "not valid UTF-8") from None
+            except json.JSONDecodeError as exc:
+                raise ReviewParseError(line_no, f"invalid JSON ({exc.msg})") from None
+            except ValueError as exc:
+                raise ReviewParseError(line_no, f"invalid JSON ({exc})") from None
+            except RecursionError:
+                raise ReviewParseError(line_no, "invalid JSON (nested too deeply)") from None
+            records.append(corpus._record_from_obj(obj, line_no))
+        except ReviewParseError as exc:
+            return records, exc
+    return records, None
+
+
+def parsed(lines):
+    records = []
+    try:
+        for rec in parse_reviews(lines):
+            records.append(rec)
+    except ReviewParseError as exc:
+        return records, exc
+    return records, None
+
+
+HUGE_INT = "1" + "0" * 400
+PAST_DIGIT_LIMIT = "3" + "0" * 4400
+JSON_WS = st.text(alphabet=" \t\r\n", max_size=3)
+KEYS = st.sampled_from(["reviewerID", "asin", "overall", "reviewText", "x"])
+# raw JSON text of a value
+VALUES = st.one_of(
+    st.sampled_from(['"A1"', '""', "3", "4.5", "1", "5.0", "0", "true", "null", "NaN", "-Infinity",
+                     "1e400", '"\\ud800"', '"caf\u00e9"', "[]", "{}", HUGE_INT, "-" + HUGE_INT,
+                     PAST_DIGIT_LIMIT]),
+    st.text(max_size=6).map(json.dumps),
+    st.floats(allow_nan=True, allow_infinity=True).map(json.dumps),
+    st.integers().map(str),
+)
+OBJECT = st.lists(st.tuples(KEYS, VALUES), max_size=6).map(      # keys may repeat
+    lambda pairs: "{" + ", ".join(f'"{k}": {v}' for k, v in pairs) + "}")
+GOOD = st.fixed_dictionaries({"reviewerID": st.sampled_from(["A", "B\u00e9"]),
+                              "asin": st.sampled_from(["X", "Y"]),
+                              "overall": st.sampled_from([1, 2.5, 5])},
+                             optional={"reviewText": st.text(max_size=8)}).map(json.dumps)
+RATED = VALUES.map(lambda v: '{"reviewerID": "A", "asin": "X", "overall": %s}' % v)
+LINE = st.tuples(
+    st.sampled_from([""] * 7 + ["\ufeff"]),                      # a leading BOM
+    JSON_WS,
+    st.one_of(GOOD, GOOD, GOOD, RATED, RATED, OBJECT, st.just(""),
+              VALUES, st.lists(VALUES, max_size=2).map(lambda vs: "[" + ", ".join(vs) + "]")),
+    JSON_WS,
+    st.sampled_from([""] * 30 + ["x", "{}", " 1", "]", "\x0c", "\ud800"]),  # extra data
+).map("".join)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(LINE, min_size=1, max_size=4))
+def test_parse_matches_per_line_json_loads_reference(lines):
+    got_records, got_error = parsed(lines)
+    want_records, want_error = reference_parse(lines)
+    assert got_records == want_records
+    assert type(got_error) is type(want_error)
+    if want_error is not None:
+        assert (got_error.line_no, str(got_error)) == (want_error.line_no, str(want_error))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"reviewerID": "A", "asin": "B", "overall": 1} x', "line 1: invalid JSON (Extra data)"),
+    ('\ufeff{"reviewerID": "A", "asin": "B", "overall": 1}',
+     "line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    (f'{{"reviewerID": "A", "asin": "B", "overall": {HUGE_INT}}}', "line 1: rating inf outside [1, 5]"),
+    (f'{{"reviewerID": "A", "asin": "B", "overall": -{HUGE_INT}}}', "line 1: rating -inf outside [1, 5]"),
+    (f'{{"reviewerID": "A", "asin": "B", "overall": {PAST_DIGIT_LIMIT}}}',
+     "line 1: invalid JSON (Exceeds the limit (4300 digits)"),
+    ("[" * 100_000 + "]" * 100_000, "line 1: invalid JSON (nested too deeply)"),
+])
+def test_parse_refusal_messages(text, message):
+    with pytest.raises(ReviewParseError) as err:
+        list(parse_reviews([text]))
+    assert str(err.value).startswith(message)
+
+
 # ---------------------------------------------------------------- take_first_n
 
 def _recs(n):
@@ -100,10 +189,24 @@ def test_take_first_n_rejects_negative():
         take_first_n([], -1)
 
 
-# ---------------------------------------------------------------- review sets
+# ---------------------------------------------------------------- documents
+
+def docs_of(records, max_vocab=100, min_doc_freq=1, max_len=16):
+    """Each user's and each item's document as tokens, from a bundle built on
+    all the records, plus the bundle."""
+    bundle = corpus.build_bundle(records, list(range(len(records))), [], max_vocab=max_vocab,
+                                 min_doc_freq=min_doc_freq, max_len=max_len)
+
+    def side(ids, docs, lens):
+        return {key: [bundle.vocab.tokens[t - 1] for t in docs[row, :lens[row]]]
+                for row, key in enumerate(ids)}
+
+    return (side(bundle.user_ids, bundle.user_docs, bundle.user_doc_lens),
+            side(bundle.item_ids, bundle.item_docs, bundle.item_doc_lens), bundle)
+
 
 def test_review_set_concatenates_in_order():
-    users, _ = build_review_sets([
+    users, _, _ = docs_of([
         ReviewRecord("A", "X", 4.0, "good"),
         ReviewRecord("A", "Y", 2.0, "bad"),
     ])
@@ -111,8 +214,9 @@ def test_review_set_concatenates_in_order():
 
 
 def test_review_set_single_empty_review():
-    _, items = build_review_sets([ReviewRecord("A", "B", 3.0, "")])
+    _, items, bundle = docs_of([ReviewRecord("A", "B", 3.0, "")])
     assert items["B"] == []
+    assert bundle.vocab.size == 0 and not bundle.item_docs.any()
 
 
 def test_review_sets_two_users_two_items():
@@ -121,80 +225,91 @@ def test_review_sets_two_users_two_items():
         ReviewRecord("A", "X", 4.0, "r1"), ReviewRecord("A", "Y", 4.0, "R2!"),
         ReviewRecord("B", "X", 4.0, "r3 x"), ReviewRecord("B", "Y", 4.0, "r4"),
     ]
-    users, items = build_review_sets(recs)
+    users, items, _ = docs_of(recs)
     assert users == {"A": ["r1", "r2"], "B": ["r3", "x", "r4"]}
     assert items == {"X": ["r1", "r3", "x"], "Y": ["r2", "r4"]}
 
 
-def test_review_sets_share_one_string_per_token():
-    users, items = build_review_sets([
+def test_review_sets_share_one_id_per_token():
+    _, _, bundle = docs_of([
         ReviewRecord("A", "X", 4.0, "space opera"),
         ReviewRecord("B", "Y", 4.0, "more SPACE"),
     ])
-    assert users["A"][0] is items["X"][0] is users["B"][1] is items["Y"][1]
+    space = bundle.vocab.tokens.index("space") + 1
+    assert bundle.user_docs[0, 0] == bundle.item_docs[0, 0] == space
+    assert bundle.user_docs[1, 1] == bundle.item_docs[1, 1] == space
 
 
 # ---------------------------------------------------------------- vocabulary
 
+def vocab_of(*texts, **kw):
+    """The vocabulary of one review per text, each by its own user and item."""
+    records = [ReviewRecord(f"u{k}", f"i{k}", 3.0, text) for k, text in enumerate(texts)]
+    return docs_of(records, **kw)[2].vocab.tokens
+
+
 def test_vocabulary_frequency_rank_with_lexicographic_ties():
-    vocab = build_vocabulary([["a", "b", "a"], ["b", "c"]], max_vocab=10, min_doc_freq=1)
-    assert vocab.tokens == ("a", "b", "c")
-    assert tensorize(["a", "b", "c"], vocab, max_len=3) == [1, 2, 3]
+    users, _, bundle = docs_of([ReviewRecord("u1", "i1", 3.0, "b a b"),
+                                ReviewRecord("u2", "i2", 3.0, "c a")])
+    assert bundle.vocab.tokens == ("a", "b", "c")
+    np.testing.assert_array_equal(bundle.user_docs[:, :3], [[2, 1, 2], [3, 1, 0]])
 
 
 def test_vocabulary_rejects_nonpositive_max():
-    with pytest.raises(ValueError):
-        build_vocabulary([["x"]], max_vocab=0)
+    with pytest.raises(ValueError, match="max_vocab"):
+        vocab_of("x", max_vocab=0)
 
 
 def test_vocabulary_min_doc_freq_can_empty():
-    vocab = build_vocabulary([["a", "b"], ["c", "d"]], max_vocab=10, min_doc_freq=2)
-    assert vocab.size == 0
+    # each review's tokens are in two documents: its user's and its item's
+    assert vocab_of("a b", "c d", min_doc_freq=3) == ()
 
 
 def test_vocabulary_min_doc_freq_counts_documents_not_occurrences():
-    docs = [["a", "a", "a", "b"], ["b", "c"], []]
-    assert build_vocabulary(docs, max_vocab=10, min_doc_freq=2).tokens == ("b",)
+    assert vocab_of("a a a b", "b c", "", min_doc_freq=3) == ("b",)
 
 
 def test_vocabulary_truncates():
-    vocab = build_vocabulary([["a", "a", "a", "b", "b", "c"]], max_vocab=2)
-    assert vocab.tokens == ("a", "b")
+    assert vocab_of("a a a b b c", max_vocab=2) == ("a", "b")
 
 
 def test_vocabulary_empty_corpus():
-    assert build_vocabulary([], max_vocab=5).size == 0
+    assert vocab_of("", "!?") == ()
 
 
 def test_vocabulary_lowercases_and_splits_on_non_alnum():
-    assert tokenize("It's GREAT—5 stars!!") == ["it", "s", "great", "5", "stars"]
+    users, _, _ = docs_of([ReviewRecord("A", "X", 3.0, "It's GREAT\u20145 stars!!")])
+    assert users["A"] == ["it", "s", "great", "5", "stars"]
 
 
 def test_vocabulary_deterministic():
-    docs = [tokenize(d) for d in ("the quick brown fox", "jumps over the lazy dog", "the fox")]
-    assert build_vocabulary(docs).tokens == build_vocabulary(docs).tokens
+    texts = ("the quick brown fox", "jumps over the lazy dog", "the fox")
+    assert vocab_of(*texts) == vocab_of(*texts)
 
 
-# ---------------------------------------------------------------- tensorize
-
-VOCAB_AB = build_vocabulary([["a", "b"]])  # a=1, b=2
-
+# ---------------------------------------------------------------- documents: truncation
 
 def test_tensorize_drops_oov():
-    assert tensorize(["a", "z", "a"], build_vocabulary([["a"]]), max_len=2) == [1, 1]
+    users, _, _ = docs_of([ReviewRecord("A", "X", 3.0, "a z a")], max_vocab=1, max_len=2)
+    assert users["A"] == ["a", "a"]
 
 
 def test_tensorize_empty_text():
-    assert tensorize([], VOCAB_AB, max_len=3) == []
+    users, _, bundle = docs_of([ReviewRecord("A", "X", 3.0, "a"), ReviewRecord("B", "X", 3.0, "")],
+                               max_len=3)
+    assert users["B"] == []
+    np.testing.assert_array_equal(bundle.user_docs[1], [0, 0, 0])
 
 
 def test_tensorize_truncates():
-    assert tensorize(["a", "b", "a", "b", "a"], VOCAB_AB, max_len=3) == [1, 2, 1]
+    users, _, _ = docs_of([ReviewRecord("A", "X", 3.0, "a b"), ReviewRecord("A", "Y", 3.0, "a b a")],
+                          max_len=3)
+    assert users["A"] == ["a", "b", "a"]
 
 
 def test_tensorize_requires_positive_max_len():
-    with pytest.raises(ValueError):
-        tensorize(["a"], VOCAB_AB, max_len=0)
+    with pytest.raises(ValueError, match="max_len"):
+        docs_of([ReviewRecord("A", "X", 3.0, "a")], max_len=0)
 
 
 # ---------------------------------------------------------------- embeddings
@@ -202,7 +317,7 @@ def test_tensorize_requires_positive_max_len():
 def test_load_embeddings_basic(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1.0 2.0\n", encoding="utf-8")
-    table = load_pretrained_embeddings(path, build_vocabulary([["a"]]), 2)
+    table = load_pretrained_embeddings(path, Vocabulary(["a"]), 2)
     np.testing.assert_array_equal(table[0], [0.0, 0.0])
     np.testing.assert_array_equal(table[1], [1.0, 2.0])
 
@@ -211,14 +326,14 @@ def test_load_embeddings_header_dim_mismatch(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("2 3\na 1 2 3\n", encoding="utf-8")
     with pytest.raises(corpus.EmbeddingFormatError, match="expected 2.*declares 3"):
-        load_pretrained_embeddings(path, build_vocabulary([["a"]]), 2)
+        load_pretrained_embeddings(path, Vocabulary(["a"]), 2)
 
 
 def test_load_embeddings_row_dim_mismatch(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1 2 3\n", encoding="utf-8")
     with pytest.raises(corpus.EmbeddingFormatError, match="expected 2.*found 3"):
-        load_pretrained_embeddings(path, build_vocabulary([["a"]]), 2)
+        load_pretrained_embeddings(path, Vocabulary(["a"]), 2)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
@@ -226,13 +341,13 @@ def test_load_embeddings_non_finite_value_names_its_line(tmp_path, value):
     path = tmp_path / "vecs.txt"
     path.write_text(f"2 2\nq 0.5 0.5\na 1.0 {value}\n", encoding="utf-8")
     with pytest.raises(corpus.EmbeddingFormatError, match="line 3: not a finite number"):
-        load_pretrained_embeddings(path, build_vocabulary([["a"]]), 2)
+        load_pretrained_embeddings(path, Vocabulary(["a"]), 2)
 
 
 def test_load_embeddings_missing_token_is_seeded_uniform(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1.0 2.0\n", encoding="utf-8")
-    vocab = build_vocabulary([["a", "q", "a"]])  # a=1, q=2; q missing from the file
+    vocab = Vocabulary(["a", "q"])  # q is missing from the file
     t1 = load_pretrained_embeddings(path, vocab, 2, seed=13)
     t2 = load_pretrained_embeddings(path, vocab, 2, seed=13)
     np.testing.assert_array_equal(t1, t2)  # bitwise identical across runs
@@ -363,11 +478,18 @@ def test_bundle_documents_pad_right():
 
 
 # The bundle's documents, by the definition they follow: join each side's
-# training reviews with " ", tokenize the joined text, keep the in-vocabulary
-# tokens, truncate to max_len and right-pad with 0.  The Kelvin sign and the
-# dotted capital I lowercase to ASCII ("k", and "i" plus a combining dot);
-# capital sigma lowercases by context, to a letter outside [a-z0-9].
-REVIEW_TEXT = st.text(alphabet="abAB z,.!-9\u212a\u0130\u03a3", max_size=16)
+# training reviews with " ", take the [a-z0-9]+ runs of the lowercased joined
+# text, keep the in-vocabulary tokens, truncate to max_len and right-pad
+# with 0.  The Kelvin sign and the dotted capital I lowercase to ASCII ("k",
+# and "i" plus a combining dot); capital sigma lowercases by context, to a
+# letter outside [a-z0-9].  A lone surrogate, a fullwidth digit, sharp s,
+# the fi ligature, tab, newline and NUL all separate tokens.
+REVIEW_TEXT = st.text(alphabet="abAB z,.!-9\u212a\u0130\u03a3\ud800\uff11\u00df\ufb01\t\n\x00",
+                      max_size=16)
+
+
+def reference_tokens(text):
+    return re.findall(r"[a-z0-9]+", text.lower())
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,7 +507,7 @@ def test_bundle_documents_match_joined_text_reference(rows, max_vocab, min_doc_f
         texts = {}
         for k in train_idx:
             texts.setdefault(getattr(records[k], side), []).append(records[k].review_text)
-        return {key: tokenize(" ".join(parts)) for key, parts in texts.items()}
+        return {key: reference_tokens(" ".join(parts)) for key, parts in texts.items()}
 
     user_toks, item_toks = joined("user_id"), joined("item_id")
     docs = list(user_toks.values()) + list(item_toks.values())

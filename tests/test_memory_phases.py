@@ -19,3 +19,4 @@ def test_memory_phases_reports_every_phase_at_a_tiny_shape():
     assert hwm[0] > 0 and hwm == sorted(hwm)    # a high-water mark never falls
     for p in phases:
         assert p["tracemalloc_peak_mb"] >= p["tracemalloc_mb"] > 0
+        assert p["seconds"] > 0
