@@ -279,7 +279,7 @@ def cmd_ingest(cfg: RunConfig, force: bool) -> int:
     corpus.save_bundle(bundle, paths["bundle"])
     stats_obj = {
         **asdict(stats), "n_train": len(train_idx), "n_test": len(test_idx),
-        "vocab_size": bundle.vocab.size, "base_seed": cfg.base_seed,
+        "vocab_size": len(bundle.vocab), "base_seed": cfg.base_seed,
     }
     serialize.write_text(paths["corpus"] / "stats.json", json.dumps(stats_obj, indent=2, sort_keys=True))
     print(f"users    {stats.n_users}")
@@ -287,7 +287,7 @@ def cmd_ingest(cfg: RunConfig, force: bool) -> int:
     print(f"ratings  {stats.n_ratings}")
     print(f"density  {stats.density_percent:.2f}%")
     print(f"train/test  {len(train_idx)}/{len(test_idx)}")
-    print(f"vocabulary  {bundle.vocab.size} tokens")
+    print(f"vocabulary  {len(bundle.vocab)} tokens")
     print(f"bundle written to {paths['bundle']}")
     return EXIT_OK
 
@@ -337,7 +337,10 @@ def cmd_evaluate(cfg: RunConfig, model_kind: str, clip: bool, force: bool) -> in
     if model.train_digest != bundle.train_digest():
         raise DataError(f"{ckpt} was trained on another split (its training triplets "
                         f"differ from {paths['bundle']}'s); retrain it")
-    score, n_test = evaluate.evaluate_model(model, bundle, clip=clip)
+    try:
+        score, n_test = evaluate.evaluate_model(model, bundle, clip=clip)
+    except factorize.NonFinitePredictionError as exc:
+        raise DataError(f"{ckpt} cannot be scored: {exc}; retrain it") from None
     serialize.write_text(report, f"model,n_test,clip,rmse\n{kind},{n_test},{int(clip)},{score:.6f}\n")
     print(f"{kind}: test RMSE {score:.5f} over {n_test} ratings"
           + (" (clipped to [1, 5])" if clip else ""))

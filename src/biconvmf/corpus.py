@@ -40,7 +40,7 @@ TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 
 JSON_WHITESPACE = " \t\n\r"
 
 BUNDLE_MAGIC = b"BCMFCORP"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2  # 2: ids and vocabulary in meta; version-1 files are refused
 
 # Defaults for the text pipeline; the CLI config can override all of them.
 DEFAULT_MAX_VOCAB = 8000
@@ -152,25 +152,7 @@ def take_first_n(records, n: int) -> tuple[list[ReviewRecord], DatasetStats]:
     return head, DatasetStats(len(users), len(items), len(head), density)
 
 
-class Vocabulary:
-    """Token -> index map; index 0 is reserved for padding and OOV.  Iterates over the tokens."""
-
-    def __init__(self, tokens):
-        self.tokens = tuple(tokens)
-        self._index = {t: i + 1 for i, t in enumerate(self.tokens)}
-
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-
-def load_pretrained_embeddings(path, vocab: Vocabulary, embedding_dim: int,
+def load_pretrained_embeddings(path, vocab: tuple[str, ...], embedding_dim: int,
                                seed: int = 0) -> np.ndarray:
     """Load a text-format word-vector file into a (size+1, dim) table.
 
@@ -181,6 +163,7 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, embedding_dim: int,
     that is not valid UTF-8, or holds a non-finite value, names its number.
     """
     vectors: dict[str, np.ndarray] = {}
+    wanted = set(vocab)
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = True
         for line_no, line in enumerate(fh, start=1):
@@ -205,7 +188,7 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, embedding_dim: int,
                 raise EmbeddingFormatError(
                     f"embedding dimension mismatch at line {line_no}: expected {embedding_dim}, found {len(vals)}"
                 )
-            if token in vocab and token not in vectors:
+            if token in wanted and token not in vectors:
                 try:
                     vec = np.array([float(v) for v in vals], dtype=np.float64)
                     if not np.isfinite(vec).all():
@@ -213,9 +196,9 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, embedding_dim: int,
                 except ValueError as exc:
                     raise EmbeddingFormatError(f"bad vector value at line {line_no}: {exc}") from None
                 vectors[token] = vec
-    table = np.zeros((vocab.size + 1, embedding_dim), dtype=np.float64)
+    table = np.zeros((len(vocab) + 1, embedding_dim), dtype=np.float64)
     rng = np.random.default_rng(seed)
-    for i, token in enumerate(vocab.tokens, start=1):
+    for i, token in enumerate(vocab, start=1):
         vec = vectors.get(token)
         if vec is None:
             table[i] = rng.uniform(-0.25, 0.25, embedding_dim)
@@ -232,10 +215,7 @@ def _is_int(s: str) -> bool:
         return False
 
 
-@serialize.container(BUNDLE_MAGIC, BUNDLE_VERSION,
-                     "vocab", "user_ids", "item_ids", "user_docs", "user_doc_lens",
-                     "item_docs", "item_doc_lens", "train_user_idx", "train_item_idx",
-                     "train_ratings", "test_user_idx", "test_item_idx", "test_ratings")
+@serialize.container(BUNDLE_MAGIC, BUNDLE_VERSION)
 @dataclass
 class CorpusBundle:
     """Everything training needs, so it never re-tokenizes.
@@ -244,7 +224,7 @@ class CorpusBundle:
     the test triplets are carried for evaluation only.
     """
 
-    vocab: Vocabulary
+    vocab: tuple[str, ...]      # token i + 1 is vocab[i]; 0 is padding and OOV
     max_len: int
     user_ids: list[str]
     item_ids: list[str]
@@ -265,7 +245,7 @@ class CorpusBundle:
     def __post_init__(self):
         """Refuse arrays that disagree with the ids, the vocabulary or max_len."""
         check = serialize.check_array
-        n_users, n_items, size = self.n_users, self.n_items, self.vocab.size
+        n_users, n_items, size = self.n_users, self.n_items, len(self.vocab)
         check("user_docs", self.user_docs, (n_users, self.max_len), integer=True, lo=0, hi=size)
         check("item_docs", self.item_docs, (n_items, self.max_len), integer=True, lo=0, hi=size)
         check("user_doc_lens", self.user_doc_lens, (n_users,), integer=True, lo=0, hi=self.max_len)
@@ -360,7 +340,7 @@ def build_bundle(records: list[ReviewRecord], train_idx, test_idx,
     lex_rank[sorted(range(len(tokens)), key=tokens.__getitem__)] = np.arange(len(tokens))
     total = np.bincount(ids, minlength=len(tokens))
     chosen = eligible[np.lexsort((lex_rank[eligible], -total[eligible]))][:max_vocab]
-    vocab = Vocabulary(tokens[t].decode("ascii") for t in chosen.tolist())
+    vocab = tuple(tokens[t].decode("ascii") for t in chosen.tolist())
     del tokens, token_pos, lex_rank, total
 
     # The in-vocabulary indices of each review, and how many it has.

@@ -51,7 +51,11 @@ SOLVE_CHUNK = 1 << 16   # entries of C (rows * d * k) gathered per stacked solve
 PAIR_CHUNK = 4096       # (user, item) pairs per block of factor columns in pair_dots
 
 MODEL_MAGIC = b"BCMFMODL"
-MODEL_VERSION = 3  # 3: one weight_decay, no model_kind or global_mean; older files are refused
+MODEL_VERSION = 4  # 4: ids in meta, no stopped_early; older files are refused
+
+
+class NonFinitePredictionError(ValueError):
+    """A prediction that is not finite: finite factors whose dot product overflows."""
 
 
 def canonical_model_kind(name: str) -> str:
@@ -256,15 +260,12 @@ class TrainLog:
     losses: list = field(default_factory=list)          # end-of-iteration joint loss
     fit_losses_user: list = field(default_factory=list)
     fit_losses_item: list = field(default_factory=list)
-    stopped_early: bool = False
 
     def n_iterations(self) -> int:
         return len(self.losses)
 
 
-@serialize.container(MODEL_MAGIC, MODEL_VERSION,
-                     "user_ids", "item_ids", "user_factors", "item_factors", "item_means",
-                     "user_train_counts", "item_train_counts", "cnn_user", "cnn_item")
+@serialize.container(MODEL_MAGIC, MODEL_VERSION)
 @dataclass
 class TrainedModel:
     hyper: Hyperparams
@@ -300,7 +301,8 @@ class TrainedModel:
         A user or item is cold when it has no training ratings: a pair with
         either cold falls back to item_means (the item's training mean, or
         the global training mean for a cold item); otherwise the factor dot
-        product.  An index outside [0, n) is a ValueError.
+        product.  An index outside [0, n) is a ValueError; a prediction
+        that is not finite, before any clipping, a NonFinitePredictionError.
         """
         user_idx = np.asarray(user_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
@@ -313,6 +315,11 @@ class TrainedModel:
         warm_u = self.user_train_counts[user_idx] > 0
         warm_i = self.item_train_counts[item_idx] > 0
         preds = np.where(warm_u & warm_i, dots, self.item_means[item_idx])
+        bad = np.flatnonzero(~np.isfinite(preds))
+        if bad.size:
+            user, item = self.user_ids[user_idx[bad[0]]], self.item_ids[item_idx[bad[0]]]
+            raise NonFinitePredictionError(f"the predicted rating of user {user!r} for item {item!r} "
+                                           "is not finite (its factors' dot product overflows)")
         if clip:
             preds = np.clip(preds, 1.0, 5.0)
         return preds
@@ -377,11 +384,11 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
         if not want_cnn:
             return _Side(docs, lens, lam, fit_losses, None, None)
         if kind == "BiConvMF+":   # stays float64, as its pretrained table
-            cnn = textcnn.init_cnn_params(cnn_config, bundle.vocab.size, cnn_ss,
+            cnn = textcnn.init_cnn_params(cnn_config, len(bundle.vocab), cnn_ss,
                                           embedding=pretrained_embedding,
                                           embedding_trainable=pretrained_trainable)
         else:   # a fresh CNN trains in float32 (textcnn module docstring)
-            cnn = textcnn.init_cnn_params(cnn_config, bundle.vocab.size, cnn_ss).astype(np.float32)
+            cnn = textcnn.init_cnn_params(cnn_config, len(bundle.vocab), cnn_ss).astype(np.float32)
         return _Side(docs, lens, lam, fit_losses, cnn,
                      textcnn.forward_many(cnn, docs, lens))
 
@@ -427,8 +434,7 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
         if prev_loss is not None:
             rel = abs(prev_loss - loss) / max(abs(prev_loss), 1e-300)
             streak = streak + 1 if rel < hyper.early_stop_rel_tol else 0
-            if streak >= hyper.early_stop_patience and it < hyper.outer_iters:
-                log.stopped_early = True
+            if streak >= hyper.early_stop_patience:
                 break
         prev_loss = loss
 
@@ -454,7 +460,7 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    """A saved model.  A version-1 or version-2 file is refused
+    """A saved model.  A file of an older version is refused
     (UnsupportedVersionError), to be retrained: version 1 records no
     train_digest, so evaluate could not check its split."""
     return serialize.load(TrainedModel, path)

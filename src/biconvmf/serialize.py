@@ -17,13 +17,16 @@ input, bytes after the last section and a repeated section name raise
 ContainerError naming the section (or header field) that could not be read;
 an unknown version raises UnsupportedVersionError instead of guessing at the
 layout.  Dataclasses declare their formats with the ``container`` decorator
-below.
+below, which takes the layout from the field annotations: arrays, lists of
+arrays and nested containers get sections, every other field a key of the
+one JSON section, 'meta'.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -183,10 +186,11 @@ def json_from_bytes(payload, section: str):
         raise ContainerError(f"section '{section}' does not hold valid JSON: {exc}") from exc
 
 
-def require_section(sections: dict, name: str):
+def pop_section(sections: dict, name: str):
+    """Remove and return the named section; a ContainerError when there is none."""
     if name not in sections:
         raise ContainerError(f"missing required section '{name}'")
-    return sections[name]
+    return sections.pop(name)
 
 
 def check_array(name: str, arr, shape: tuple, integer: bool = False, lo=None, hi=None) -> None:
@@ -206,50 +210,62 @@ def check_array(name: str, arr, shape: tuple, integer: bool = False, lo=None, hi
         raise ValueError(f"{name} has an entry outside [{lo}, {hi}]")
 
 
-def container(magic: bytes, version: int, *sections):
+def container(magic: bytes, version: int):
     """Class decorator declaring the container format of a dataclass.
 
-    The named fields get sections, in this order, after a JSON 'meta' section
-    holding the other fields, each under its name (a dataclass as an object).
-    A section holds an ndarray as .npy, a declared dataclass as its
-    nested container, anything else as JSON.  A None field is left out and
-    loads as None if its annotation allows.  A tuple of names declares parallel
-    lists of arrays, stored per index as a_0, b_0, a_1, b_1, ...
+    Each field's annotation decides where it is stored, in field order after
+    a JSON 'meta' section:
+
+      np.ndarray          a section holding the array as .npy;
+      list[np.ndarray]    sections name_0, name_1, ..., one per array;
+      a declared class    a section holding its nested container;
+      anything else       a key of 'meta' (a dataclass as a JSON object).
+
+    A section field annotated '| None' is left out when None, and loads as
+    None when its section is absent.  Lists stored side by side are not
+    checked for equal length here: that is the dataclass's own invariant.
     """
     def declare(cls):
-        cls.container_format = (magic, version, sections)
+        cls.container_format = (magic, version)
         return cls
     return declare
 
 
 def save(obj, path) -> None:
-    magic, version, _ = obj.container_format
-    write_container(path, magic, version, _to_sections(obj))
+    write_container(path, *obj.container_format, _to_sections(obj))
 
 
 def load(cls, path):
-    magic, version, _ = cls.container_format
+    magic, version = cls.container_format
     return _from_sections(cls, read_container(path, magic, (version,))[1])
 
 
+def _section_fields(cls) -> list[tuple[str, type, bool]]:
+    """(name, annotation less '| None', whether None is allowed) of each field
+    of cls stored in sections of its own, in field order."""
+    hints, out = get_type_hints(cls), []
+    for f in fields(cls):
+        hint = hints[f.name]
+        optional = type(None) in get_args(hint)
+        hint = get_args(hint)[0] if optional else hint
+        if hint is np.ndarray or hint == list[np.ndarray] or hasattr(hint, "container_format"):
+            out.append((f.name, hint, optional))
+    return out
+
+
 def _to_sections(obj) -> dict:
-    out, names = {}, []
-    for entry in obj.container_format[2]:
-        names.extend(entry if isinstance(entry, tuple) else [entry])
-        if isinstance(entry, tuple):
-            for i in range(len(getattr(obj, entry[0]))):
-                for name in entry:
-                    out[f"{name}_{i}"] = array_payload(getattr(obj, name)[i])
+    layout, out = _section_fields(type(obj)), {}
+    for name, hint, _ in layout:
+        value = getattr(obj, name)
+        if value is None:
             continue
-        value = getattr(obj, entry)
-        if isinstance(value, np.ndarray):
-            out[entry] = array_payload(value)
-        elif hasattr(value, "container_format"):
-            magic, version, _ = value.container_format
-            out[entry] = _container_chunks(magic, version, _to_sections(value))
-        elif value is not None:
-            out[entry] = json_to_bytes(_plain(value))
-    return {"meta": json_to_bytes(_plain(obj, names)), **out}
+        if hint is np.ndarray:
+            out[name] = array_payload(value)
+        elif get_origin(hint) is list:
+            out.update((f"{name}_{i}", array_payload(arr)) for i, arr in enumerate(value))
+        else:
+            out[name] = _container_chunks(*hint.container_format, _to_sections(value))
+    return {"meta": json_to_bytes(_plain(obj, [name for name, _, _ in layout])), **out}
 
 
 def _plain(value, exclude=()):
@@ -262,41 +278,25 @@ def _plain(value, exclude=()):
 
 
 def _from_sections(cls, payloads: dict):
-    hints = get_type_hints(cls)
-    given, expected = {}, {"meta"}
-    for entry in cls.container_format[2]:
-        if isinstance(entry, tuple):
-            n = 0
-            while any(f"{name}_{n}" in payloads for name in entry):
-                n += 1
-            for name in entry:
-                keys = [f"{name}_{i}" for i in range(n)]
-                expected.update(keys)
-                given[name] = [array_from_bytes(require_section(payloads, k), k) for k in keys]
-            continue
-        hint = hints[entry]
-        if type(None) in get_args(hint):    # T | None: the section may be left out
-            if entry not in payloads:
-                given[entry] = None
-                continue
-            hint = get_args(hint)[0]
-        expected.add(entry)
-        payload = require_section(payloads, entry)
-        if hint is np.ndarray:
-            given[entry] = array_from_bytes(payload, entry)
-        elif hasattr(hint, "container_format"):
-            magic, version, _ = hint.container_format
-            try:
-                given[entry] = _from_sections(hint, unpack_container(payload, magic, (version,))[1])
-            except ContainerError as exc:   # name the outer section; keep the type
-                exc.args = (f"section '{entry}': {exc}",)
-                raise
+    rest, given = dict(payloads), {}
+    for name, hint, optional in _section_fields(cls):
+        if get_origin(hint) is list:
+            n = next(i for i in itertools.count() if f"{name}_{i}" not in rest)
+            given[name] = [array_from_bytes(rest.pop(f"{name}_{i}"), f"{name}_{i}") for i in range(n)]
+        elif optional and name not in rest:
+            given[name] = None
+        elif hint is np.ndarray:
+            given[name] = array_from_bytes(pop_section(rest, name), name)
         else:
-            given[entry] = _rebuild(hint, json_from_bytes(payload, entry), entry)
-    unexpected = sorted(set(payloads) - expected)
-    if unexpected:
-        raise ContainerError(f"unexpected section '{unexpected[0]}'")
-    meta = json_from_bytes(require_section(payloads, "meta"), "meta")
+            payload, (magic, version) = pop_section(rest, name), hint.container_format
+            try:
+                given[name] = _from_sections(hint, unpack_container(payload, magic, (version,))[1])
+            except ContainerError as exc:   # name the outer section; keep the type
+                exc.args = (f"section '{name}': {exc}",)
+                raise
+    meta = json_from_bytes(pop_section(rest, "meta"), "meta")
+    if rest:
+        raise ContainerError(f"unexpected section '{min(rest)}'")
     return _rebuild(cls, meta, "", given)
 
 

@@ -149,8 +149,7 @@ class OptimizerConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-@serialize.container(CNN_MAGIC, CNN_VERSION,
-                     "embedding", "proj", "proj_bias", ("filters", "filter_biases"))
+@serialize.container(CNN_MAGIC, CNN_VERSION)
 @dataclass
 class CnnParams:
     """The encoder's arrays; gradients come in the same shape, with embedding

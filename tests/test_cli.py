@@ -123,7 +123,7 @@ def test_biconvmf_plus_trains_with_word_vector_file(tmp_path, review_file):
     assert main(["ingest", "--config", str(plain_cfg)]) == EXIT_OK
     # word vectors (with a header line) covering part of the vocabulary
     bundle = corpus.load_bundle(out / "corpus/bundle.bcmf")
-    tokens = bundle.vocab.tokens[:10]
+    tokens = bundle.vocab[:10]
     rng = np.random.default_rng(4)
     vec_path = tmp_path / "vectors.txt"
     with open(vec_path, "w") as fh:
@@ -138,7 +138,7 @@ def test_biconvmf_plus_trains_with_word_vector_file(tmp_path, review_file):
     assert model.cnn_user.embedding_trainable is False
     # the file's first token really landed in the embedding table
     first = np.loadtxt(str(vec_path), skiprows=1, usecols=range(1, 9), max_rows=1)
-    np.testing.assert_allclose(model.cnn_user.embedding[bundle.vocab.tokens.index(tokens[0]) + 1],
+    np.testing.assert_allclose(model.cnn_user.embedding[bundle.vocab.index(tokens[0]) + 1],
                                first, atol=1e-4)
 
 
@@ -222,6 +222,63 @@ def test_version_1_checkpoint_is_refused(tmp_path, review_file, capsys):
         assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
 
 
+def _in_previous_layout(sections, moved):
+    """Sections as bundle format 1 and checkpoint format 3 laid them out: the
+    moved meta keys as JSON sections of their own, right after meta."""
+    from biconvmf import serialize
+    meta = serialize.json_from_bytes(sections["meta"], "meta")
+    json_sections = {name: serialize.json_to_bytes(meta.pop(name)) for name in moved}
+    rest = {name: payload for name, payload in sections.items() if name != "meta"}
+    return {"meta": serialize.json_to_bytes(meta), **json_sections, **rest}
+
+
+def test_previous_format_bundle_and_checkpoint_are_refused(tmp_path, review_file, capsys):
+    from biconvmf import corpus, factorize, serialize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    ckpt, bundle = tmp_path / "out/models/PMF.ckpt", tmp_path / "out/corpus/bundle.bcmf"
+
+    def refused(argv, version):
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"unsupported container version {version}" in err and "Traceback" not in err
+
+    _, sections = serialize.read_container(ckpt, factorize.MODEL_MAGIC, (factorize.MODEL_VERSION,))
+    sections = _in_previous_layout(sections, ["user_ids", "item_ids"])
+    meta = serialize.json_from_bytes(sections["meta"], "meta")
+    meta["log"]["stopped_early"] = False
+    sections["meta"] = serialize.json_to_bytes(meta)
+    serialize.write_container(ckpt, factorize.MODEL_MAGIC, 3, sections)
+    refused(["evaluate", "--model", "PMF"], 3)
+    assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
+
+    _, sections = serialize.read_container(bundle, corpus.BUNDLE_MAGIC, (corpus.BUNDLE_VERSION,))
+    sections = _in_previous_layout(sections, ["vocab", "user_ids", "item_ids"])
+    serialize.write_container(bundle, corpus.BUNDLE_MAGIC, 1, sections)
+    refused(["train", "--model", "PMF", "--force"], 1)
+
+
+@pytest.mark.parametrize("clip", [[], ["--clip"]], ids=["raw", "clipped"])
+def test_overflowing_checkpoint_is_data_error_naming_it(tmp_path, review_file, capsys, clip):
+    # finite factors whose dot products overflow: clipping must not hide the infinities
+    from biconvmf import factorize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    ckpt = tmp_path / "out/models/PMF.ckpt"
+    model = factorize.load_model(ckpt)
+    model.user_factors[:] = 1e200
+    model.item_factors[:] = 1e200
+    factorize.save_model(model, ckpt)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", "PMF", *clip]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{ckpt} cannot be scored" in err and "is not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
+
+
 def test_evaluate_refuses_checkpoint_from_another_corpus(tmp_path, review_file, capsys):
     cfg = write_config(tmp_path, review_file, tmp_path / "out")
     assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
@@ -263,7 +320,7 @@ def test_malformed_data_file_is_data_error(tmp_path, review_file, capsys, bad_fi
         argv = ["ingest", "--config", str(write_config(tmp_path, bad_reviews, out))]
     else:
         assert main(["ingest", "--config", str(write_config(tmp_path, review_file, out))]) == EXIT_OK
-        token = corpus.load_bundle(out / "corpus/bundle.bcmf").vocab.tokens[0].encode()
+        token = corpus.load_bundle(out / "corpus/bundle.bcmf").vocab[0].encode()
         good = token + b" 0.1" * 8 + b"\n"
         bad = {"vector value": token + b" x" + b" 0.1" * 7 + b"\n",
                "vector bytes": good + b"\xff" + b" 0.1" * 8 + b"\n"}[bad_file]
@@ -557,7 +614,7 @@ def _with(arr, index, value):
 
 
 @pytest.mark.parametrize("kind, section, edit, argv, message", [
-    ("bundle", "user_docs", lambda a, b: _with(a, (0, 0), b.vocab.size + 1),
+    ("bundle", "user_docs", lambda a, b: _with(a, (0, 0), len(b.vocab) + 1),
      ["train", "--model", "BiConvMF"], "user_docs has an entry outside [0, "),
     ("bundle", "user_doc_lens", lambda a, b: _with(a, 0, b.max_len + 1),
      ["train", "--model", "BiConvMF"], "user_doc_lens has an entry outside [0, 24]"),

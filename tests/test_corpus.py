@@ -11,7 +11,6 @@ from biconvmf import corpus, serialize
 from biconvmf.corpus import (
     ReviewParseError,
     ReviewRecord,
-    Vocabulary,
     load_pretrained_embeddings,
     parse_reviews,
     take_first_n,
@@ -198,7 +197,7 @@ def docs_of(records, max_vocab=100, min_doc_freq=1, max_len=16):
                                  min_doc_freq=min_doc_freq, max_len=max_len)
 
     def side(ids, docs, lens):
-        return {key: [bundle.vocab.tokens[t - 1] for t in docs[row, :lens[row]]]
+        return {key: [bundle.vocab[t - 1] for t in docs[row, :lens[row]]]
                 for row, key in enumerate(ids)}
 
     return (side(bundle.user_ids, bundle.user_docs, bundle.user_doc_lens),
@@ -216,7 +215,7 @@ def test_review_set_concatenates_in_order():
 def test_review_set_single_empty_review():
     _, items, bundle = docs_of([ReviewRecord("A", "B", 3.0, "")])
     assert items["B"] == []
-    assert bundle.vocab.size == 0 and not bundle.item_docs.any()
+    assert len(bundle.vocab) == 0 and not bundle.item_docs.any()
 
 
 def test_review_sets_two_users_two_items():
@@ -235,7 +234,7 @@ def test_review_sets_share_one_id_per_token():
         ReviewRecord("A", "X", 4.0, "space opera"),
         ReviewRecord("B", "Y", 4.0, "more SPACE"),
     ])
-    space = bundle.vocab.tokens.index("space") + 1
+    space = bundle.vocab.index("space") + 1
     assert bundle.user_docs[0, 0] == bundle.item_docs[0, 0] == space
     assert bundle.user_docs[1, 1] == bundle.item_docs[1, 1] == space
 
@@ -245,13 +244,13 @@ def test_review_sets_share_one_id_per_token():
 def vocab_of(*texts, **kw):
     """The vocabulary of one review per text, each by its own user and item."""
     records = [ReviewRecord(f"u{k}", f"i{k}", 3.0, text) for k, text in enumerate(texts)]
-    return docs_of(records, **kw)[2].vocab.tokens
+    return docs_of(records, **kw)[2].vocab
 
 
 def test_vocabulary_frequency_rank_with_lexicographic_ties():
     users, _, bundle = docs_of([ReviewRecord("u1", "i1", 3.0, "b a b"),
                                 ReviewRecord("u2", "i2", 3.0, "c a")])
-    assert bundle.vocab.tokens == ("a", "b", "c")
+    assert bundle.vocab == ("a", "b", "c")
     np.testing.assert_array_equal(bundle.user_docs[:, :3], [[2, 1, 2], [3, 1, 0]])
 
 
@@ -317,7 +316,7 @@ def test_tensorize_requires_positive_max_len():
 def test_load_embeddings_basic(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1.0 2.0\n", encoding="utf-8")
-    table = load_pretrained_embeddings(path, Vocabulary(["a"]), 2)
+    table = load_pretrained_embeddings(path, ("a",), 2)
     np.testing.assert_array_equal(table[0], [0.0, 0.0])
     np.testing.assert_array_equal(table[1], [1.0, 2.0])
 
@@ -326,14 +325,14 @@ def test_load_embeddings_header_dim_mismatch(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("2 3\na 1 2 3\n", encoding="utf-8")
     with pytest.raises(corpus.EmbeddingFormatError, match="expected 2.*declares 3"):
-        load_pretrained_embeddings(path, Vocabulary(["a"]), 2)
+        load_pretrained_embeddings(path, ("a",), 2)
 
 
 def test_load_embeddings_row_dim_mismatch(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1 2 3\n", encoding="utf-8")
     with pytest.raises(corpus.EmbeddingFormatError, match="expected 2.*found 3"):
-        load_pretrained_embeddings(path, Vocabulary(["a"]), 2)
+        load_pretrained_embeddings(path, ("a",), 2)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
@@ -341,13 +340,13 @@ def test_load_embeddings_non_finite_value_names_its_line(tmp_path, value):
     path = tmp_path / "vecs.txt"
     path.write_text(f"2 2\nq 0.5 0.5\na 1.0 {value}\n", encoding="utf-8")
     with pytest.raises(corpus.EmbeddingFormatError, match="line 3: not a finite number"):
-        load_pretrained_embeddings(path, Vocabulary(["a"]), 2)
+        load_pretrained_embeddings(path, ("a",), 2)
 
 
 def test_load_embeddings_missing_token_is_seeded_uniform(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1.0 2.0\n", encoding="utf-8")
-    vocab = Vocabulary(["a", "q"])  # q is missing from the file
+    vocab = ("a", "q")  # q is missing from the file
     t1 = load_pretrained_embeddings(path, vocab, 2, seed=13)
     t2 = load_pretrained_embeddings(path, vocab, 2, seed=13)
     np.testing.assert_array_equal(t1, t2)  # bitwise identical across runs
@@ -394,7 +393,7 @@ def test_bundle_roundtrip_bitwise(tmp_path, tiny_bundle):
     path = tmp_path / "bundle.bcmf"
     corpus.save_bundle(tiny_bundle, path)
     back = corpus.load_bundle(path)
-    assert back.vocab.tokens == tiny_bundle.vocab.tokens
+    assert back.vocab == tiny_bundle.vocab
     assert back.user_ids == tiny_bundle.user_ids
     assert back.item_ids == tiny_bundle.item_ids
     for name in ("user_docs", "user_doc_lens", "item_docs", "item_doc_lens",
@@ -426,11 +425,11 @@ def test_train_digest_follows_the_triplets_not_their_dtype(tmp_path, tiny_bundle
 def test_bundle_meta_mismatch_refused(tmp_path, tiny_bundle, edit, message):
     path = tmp_path / "bundle.bcmf"
     corpus.save_bundle(tiny_bundle, path)
-    _, sections = serialize.read_container(path, corpus.BUNDLE_MAGIC, (1,))
+    _, sections = serialize.read_container(path, corpus.BUNDLE_MAGIC, (corpus.BUNDLE_VERSION,))
     meta = serialize.json_from_bytes(sections["meta"], "meta")
     edit(meta)
     sections["meta"] = serialize.json_to_bytes(meta)
-    serialize.write_container(path, corpus.BUNDLE_MAGIC, 1, sections)
+    serialize.write_container(path, corpus.BUNDLE_MAGIC, corpus.BUNDLE_VERSION, sections)
     with pytest.raises(serialize.ContainerError, match=message):
         corpus.load_bundle(path)
 
@@ -453,7 +452,7 @@ def test_bundle_build_is_deterministic():
     records = _bundle_records()
     b1 = corpus.build_bundle(records, [0, 1, 2, 4], [3], max_len=8)
     b2 = corpus.build_bundle(records, [0, 1, 2, 4], [3], max_len=8)
-    assert b1.vocab.tokens == b2.vocab.tokens
+    assert b1.vocab == b2.vocab
     np.testing.assert_array_equal(b1.user_docs, b2.user_docs)
     np.testing.assert_array_equal(b1.train_ratings, b2.train_ratings)
 
@@ -470,7 +469,7 @@ def test_bundle_training_text_matches_training_split(tiny_bundle):
 def test_bundle_documents_pad_right():
     records = [ReviewRecord("u1", "i1", 4.0, "a b"), ReviewRecord("u2", "i1", 2.0, "b z")]
     bundle = corpus.build_bundle(records, [0, 1], [], max_len=4)
-    assert bundle.vocab.tokens == ("b", "a", "z")
+    assert bundle.vocab == ("b", "a", "z")
     np.testing.assert_array_equal(bundle.user_docs, [[2, 1, 0, 0], [1, 3, 0, 0]])
     np.testing.assert_array_equal(bundle.user_doc_lens, [2, 2])
     np.testing.assert_array_equal(bundle.item_docs, [[2, 1, 1, 3]])
@@ -513,9 +512,9 @@ def test_bundle_documents_match_joined_text_reference(rows, max_vocab, min_doc_f
     docs = list(user_toks.values()) + list(item_toks.values())
     total = {t: sum(doc.count(t) for doc in docs) for doc in docs for t in doc}
     eligible = [t for t in total if sum(t in doc for doc in docs) >= min_doc_freq]
-    assert bundle.vocab.tokens == tuple(sorted(eligible, key=lambda t: (-total[t], t))[:max_vocab])
+    assert bundle.vocab == tuple(sorted(eligible, key=lambda t: (-total[t], t))[:max_vocab])
 
-    index = {t: pos + 1 for pos, t in enumerate(bundle.vocab.tokens)}
+    index = {t: pos + 1 for pos, t in enumerate(bundle.vocab)}
     for ids, toks, docs_arr, lens in ((bundle.user_ids, user_toks, bundle.user_docs, bundle.user_doc_lens),
                                       (bundle.item_ids, item_toks, bundle.item_docs, bundle.item_doc_lens)):
         for row, key in enumerate(ids):

@@ -1,7 +1,7 @@
 import builtins
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -122,7 +122,7 @@ def test_fortran_order_array_payload_is_refused():
 
 def test_missing_section():
     with pytest.raises(serialize.ContainerError, match="missing required section 'gone'"):
-        serialize.require_section({}, "gone")
+        serialize.pop_section({}, "gone")
 
 
 # ---------------------------------------------------------------- atomic writes
@@ -183,7 +183,7 @@ class Shape:
     tags: tuple[str, ...]
 
 
-@serialize.container(b"TESTINNR", 1, "weights", ("a", "b"))
+@serialize.container(b"TESTINNR", 1)
 @dataclass
 class Inner:
     shape: Shape
@@ -191,13 +191,17 @@ class Inner:
     a: list[np.ndarray]
     b: list[np.ndarray]
 
+    def __post_init__(self):
+        if len(self.a) != len(self.b):
+            raise ValueError("a and b differ in length")
+
 
 @dataclass
 class Log:
     losses: list
 
 
-@serialize.container(MAGIC, 3, "ids", "values", "inner", "spare")
+@serialize.container(MAGIC, 3)
 @dataclass
 class Outer:
     name: str
@@ -218,10 +222,11 @@ def test_declared_format_layout_and_bytewise_roundtrip(tmp_path):
     serialize.save(make_outer(), path)
     version, sections = serialize.read_container(path, MAGIC, (3,))
     assert version == 3
-    assert list(sections) == ["meta", "ids", "values", "inner"]
-    assert serialize.json_from_bytes(sections["meta"], "meta") == {"name": "demo", "log": {"losses": [1.5, 0.25]}}
+    assert list(sections) == ["meta", "values", "inner"]
+    assert serialize.json_from_bytes(sections["meta"], "meta") == {
+        "name": "demo", "log": {"losses": [1.5, 0.25]}, "ids": ["u1", "u2"]}
     _, inner = serialize.unpack_container(sections["inner"], b"TESTINNR", (1,))
-    assert list(inner) == ["meta", "weights", "a_0", "b_0", "a_1", "b_1"]
+    assert list(inner) == ["meta", "weights", "a_0", "a_1", "b_0", "b_1"]
     assert serialize.json_from_bytes(inner["meta"], "meta") == {"shape": {"rows": 2, "tags": ["x", "y"]}}
 
     back = serialize.load(Outer, path)
@@ -259,7 +264,9 @@ def edit_inner(fn):
     (lambda s: s.pop("values"), "missing required section 'values'"),
     (lambda s: s.update(junk=b""), "unexpected section 'junk'"),
     (lambda s: s.pop("meta"), "missing required section 'meta'"),
-    (edit_inner(lambda s: s.pop("b_1")), "missing required section 'b_1'"),
+    (edit_inner(lambda s: s.pop("b_1")), "section 'inner': invalid value for 'Inner': a and b differ in length"),
+    (edit_inner(lambda s: s.pop("a_0")), "section 'inner': unexpected section 'a_1'"),
+    (edit_meta(lambda m: m.update(ids=3)), "invalid value for 'ids'"),
     (edit_inner(lambda s: s.update(meta=b'{"shape": {"tags": []}}')), "missing meta key 'shape.rows'"),
 ])
 def test_declared_format_refuses_mismatched_file(tmp_path, edit, message):
@@ -281,3 +288,25 @@ def test_nested_error_names_the_outer_section_and_keeps_its_type(tmp_path):
     with pytest.raises(serialize.UnsupportedVersionError,
                        match="^section 'inner': unsupported container version 2"):
         serialize.load(Outer, path)
+
+
+def test_added_field_roundtrips_with_no_other_declaration(tmp_path):
+    @serialize.container(MAGIC, 3)
+    @dataclass
+    class Wider(Outer):
+        scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
+        extras: list[np.ndarray] = field(default_factory=list)
+        label: str = ""
+
+    wide = Wider(**vars(make_outer()), scores=np.arange(3.0), extras=[np.ones(2)], label="new")
+    path = tmp_path / "wide.bin"
+    serialize.save(wide, path)
+    _, sections = serialize.read_container(path, MAGIC, (3,))
+    assert list(sections) == ["meta", "values", "inner", "scores", "extras_0"]
+    assert serialize.json_from_bytes(sections["meta"], "meta")["label"] == "new"
+    back = serialize.load(Wider, path)
+    assert back.label == "new"
+    np.testing.assert_array_equal(back.scores, np.arange(3.0))
+    np.testing.assert_array_equal(back.extras[0], np.ones(2))
+    serialize.save(back, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()

@@ -682,6 +682,22 @@ def test_params_bytes_roundtrip(tmp_path):
     assert all(np.array_equal(x, y) for x, y in zip(back.filters, params.filters))
 
 
+def test_params_in_the_previous_section_order_load(tmp_path):
+    # format 2 files once held the arrays in the order embedding, proj,
+    # proj_bias, then each window's filters and biases side by side
+    path = tmp_path / "cnn.bin"
+    serialize.save(textcnn.init_cnn_params(tiny_config(), 9, seed=93), path)
+    _, sections = serialize.read_container(path, textcnn.CNN_MAGIC, (textcnn.CNN_VERSION,))
+    windows = len(tiny_config().window_sizes)
+    order = ["meta", "embedding", "proj", "proj_bias",
+             *(f"{name}_{i}" for i in range(windows) for name in ("filters", "filter_biases"))]
+    assert sorted(order) == sorted(sections) and order != list(sections)
+    serialize.write_container(tmp_path / "old.bin", textcnn.CNN_MAGIC, textcnn.CNN_VERSION,
+                              {name: sections[name] for name in order})
+    serialize.save(serialize.load(textcnn.CnnParams, tmp_path / "old.bin"), tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
 def test_params_bytes_missing_window_refused(tmp_path):
     path = tmp_path / "cnn.bin"
     serialize.save(textcnn.init_cnn_params(tiny_config(), 9, seed=92), path)
