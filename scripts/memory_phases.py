@@ -21,7 +21,8 @@ The phases run twice, each time in a fresh single-threaded process:
     phases), and tracemalloc_mb, what is still allocated at its end.
     tracemalloc's own bookkeeping would inflate VmHWM, hence the second run.
 
-Prints one JSON object: the shape, and one entry per phase, in order.
+Prints one JSON object: the shape, bundle_bytes (the size of the saved
+bundle file), and one entry per phase, in order.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ def run_phases(input_path: Path, work: Path, n_records: int, factors: int, outer
     path = work / "bundle.bcmf"
     corpus.save_bundle(bundle, path)
     mark("save")
+    marks["bundle_bytes"] = path.stat().st_size
     bundle = corpus.load_bundle(path)
     mark("load")
     hyper = factorize.Hyperparams.for_model("PMF", n_factors=factors, outer_iters=outer_iters,
@@ -138,11 +140,13 @@ def main(argv=None) -> int:
             if proc.returncode != 0:
                 sys.stderr.write(proc.stderr[-4000:])
                 return 1
-            for phase, figures in json.loads(proc.stdout.splitlines()[-1]).items():
+            marks = json.loads(proc.stdout.splitlines()[-1])
+            bundle_bytes = marks.pop("bundle_bytes")
+            for phase, figures in marks.items():
                 phases[phase].update(figures)
     shape = {"users": args.users, "items": args.items, "records": args.records,
              "factors": args.factors, "outer_iters": args.outer_iters}
-    print(json.dumps({"shape": shape,
+    print(json.dumps({"shape": shape, "bundle_bytes": bundle_bytes,
                       "phases": [{"phase": phase, **phases[phase]} for phase in PHASES]},
                      indent=2))
     return 0

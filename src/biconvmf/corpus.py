@@ -2,9 +2,9 @@
 
 Turns a JSON-lines review dump (fields reviewerID, asin, overall,
 reviewText) into the inputs the factorization needs: a vocabulary, one
-fixed-length token-index document per user and per item, and optionally a
-pretrained embedding table.  The vocabulary and the documents are built from
-the training split only, so no test text ever reaches them.
+token-index document per user and per item, and optionally a pretrained
+embedding table.  The vocabulary and the documents are built from the
+training split only, so no test text ever reaches them.
 
 Tokenization is deliberately simple and reproducible: lowercase, keep
 maximal [a-z0-9] runs, no stemming and no stopword list.  It runs on bytes:
@@ -23,6 +23,7 @@ the vocabulary, truncated to max_len.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -40,7 +41,7 @@ TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 
 JSON_WHITESPACE = " \t\n\r"
 
 BUNDLE_MAGIC = b"BCMFCORP"
-BUNDLE_VERSION = 2  # 2: ids and vocabulary in meta; version-1 files are refused
+BUNDLE_VERSION = 3  # 3: documents stored ragged; older files are refused
 
 # Defaults for the text pipeline; the CLI config can override all of them.
 DEFAULT_MAX_VOCAB = 8000
@@ -215,6 +216,28 @@ def _is_int(s: str) -> bool:
         return False
 
 
+class Documents:
+    """Token-id documents stored ragged: document i is
+    tokens[offsets[i]:offsets[i] + lens[i]], every document right after the
+    one before, so offsets are the exclusive prefix sums of lens.  It holds
+    the arrays it is given, uncopied; offsets are computed once."""
+
+    def __init__(self, tokens: np.ndarray, lens: np.ndarray):
+        self.tokens = tokens
+        self.lens = lens
+        self.offsets = np.cumsum(lens, dtype=np.int64) - lens
+
+    def __len__(self) -> int:
+        return len(self.lens)
+
+    def gather(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """The token ids of documents idx, back to back in that order, and their lengths."""
+        lens = self.lens[idx]
+        pos = np.repeat(self.offsets[idx] - (np.cumsum(lens, dtype=np.int64) - lens), lens)
+        pos += np.arange(len(pos))
+        return self.tokens[pos], lens
+
+
 @serialize.container(BUNDLE_MAGIC, BUNDLE_VERSION)
 @dataclass
 class CorpusBundle:
@@ -228,9 +251,9 @@ class CorpusBundle:
     max_len: int
     user_ids: list[str]
     item_ids: list[str]
-    user_docs: np.ndarray       # (n_users, max_len) int32
+    user_tokens: np.ndarray     # int32: the user documents back to back (see Documents)
     user_doc_lens: np.ndarray   # (n_users,) int32
-    item_docs: np.ndarray
+    item_tokens: np.ndarray
     item_doc_lens: np.ndarray
     train_user_idx: np.ndarray  # int32
     train_item_idx: np.ndarray
@@ -246,10 +269,13 @@ class CorpusBundle:
         """Refuse arrays that disagree with the ids, the vocabulary or max_len."""
         check = serialize.check_array
         n_users, n_items, size = self.n_users, self.n_items, len(self.vocab)
-        check("user_docs", self.user_docs, (n_users, self.max_len), integer=True, lo=0, hi=size)
-        check("item_docs", self.item_docs, (n_items, self.max_len), integer=True, lo=0, hi=size)
-        check("user_doc_lens", self.user_doc_lens, (n_users,), integer=True, lo=0, hi=self.max_len)
-        check("item_doc_lens", self.item_doc_lens, (n_items,), integer=True, lo=0, hi=self.max_len)
+        for side, n in (("user", n_users), ("item", n_items)):
+            tokens, lens = getattr(self, f"{side}_tokens"), getattr(self, f"{side}_doc_lens")
+            check(f"{side}_doc_lens", lens, (n,), integer=True, lo=0, hi=self.max_len)
+            if np.ndim(tokens) != 1 or len(tokens) != lens.sum():
+                raise ValueError(f"{side}_doc_lens sum to {lens.sum()}, "
+                                 f"but {side}_tokens has shape {np.shape(tokens)}")
+            check(f"{side}_tokens", tokens, (len(tokens),), integer=True, lo=1, hi=size)
         for split, users, items, ratings in (
                 ("train", self.train_user_idx, self.train_item_idx, self.train_ratings),
                 ("test", self.test_user_idx, self.test_item_idx, self.test_ratings)):
@@ -257,6 +283,16 @@ class CorpusBundle:
             check(f"{split}_user_idx", users, (n,), integer=True, lo=0, hi=n_users - 1)
             check(f"{split}_item_idx", items, (n,), integer=True, lo=0, hi=n_items - 1)
             check(f"{split}_ratings", ratings, (n,), lo=1.0, hi=5.0)
+
+    @functools.cached_property
+    def user_docs(self) -> Documents:
+        """The user documents: one object per bundle, holding its arrays."""
+        return Documents(self.user_tokens, self.user_doc_lens)
+
+    @functools.cached_property
+    def item_docs(self) -> Documents:
+        """The item documents: one object per bundle, holding its arrays."""
+        return Documents(self.item_tokens, self.item_doc_lens)
 
     @property
     def n_users(self) -> int:
@@ -286,14 +322,14 @@ def build_bundle(records: list[ReviewRecord], train_idx, test_idx,
 
     Ids are mapped in first-appearance order over all records.  The
     vocabulary and the documents come from the training records only; users
-    or items that appear only in test get all-padding documents.
+    or items that appear only in test get empty documents.
 
     The vocabulary ranks tokens by total frequency, ties lexicographic, and
     keeps the first max_vocab of those that appear in at least min_doc_freq
     documents (user and item documents both count).  A document holds the
-    vocabulary indices (from 1; 0 pads) of its first max_len in-vocabulary
-    tokens: out-of-vocabulary tokens neither occupy a position nor count
-    toward max_len.
+    vocabulary indices (from 1) of its first max_len in-vocabulary tokens:
+    out-of-vocabulary tokens neither occupy a position nor count toward
+    max_len.
     """
     if max_vocab < 1:
         raise ValueError(f"max_vocab must be >= 1, got {max_vocab}")
@@ -353,13 +389,13 @@ def build_bundle(records: list[ReviewRecord], train_idx, test_idx,
     ids = ids[in_vocab]
     del in_vocab, review
 
-    user_docs, user_doc_lens = _documents(ids, review_kept, train_user, len(user_ids), max_len)
-    item_docs, item_doc_lens = _documents(ids, review_kept, train_item, len(item_ids), max_len)
+    user_tokens, user_doc_lens = _documents(ids, review_kept, train_user, len(user_ids), max_len)
+    item_tokens, item_doc_lens = _documents(ids, review_kept, train_item, len(item_ids), max_len)
     stats = DatasetStats(len(user_ids), len(item_ids), n, n / (len(user_ids) * len(item_ids)))
     return CorpusBundle(
         vocab=vocab, max_len=max_len, user_ids=user_ids, item_ids=item_ids,
-        user_docs=user_docs, user_doc_lens=user_doc_lens,
-        item_docs=item_docs, item_doc_lens=item_doc_lens,
+        user_tokens=user_tokens, user_doc_lens=user_doc_lens,
+        item_tokens=item_tokens, item_doc_lens=item_doc_lens,
         train_user_idx=train_user, train_item_idx=train_item,
         train_ratings=rec_rating[train_idx],
         test_user_idx=rec_user[test_idx], test_item_idx=rec_item[test_idx],
@@ -388,28 +424,26 @@ def _owners_per_token(ids, counts, owner, n_owners: int, n_tokens: int) -> np.nd
 
 
 def _documents(ids, review_kept, owner, n_owners: int, max_len: int):
-    """Each owner's document: its reviews' ids in record order, truncated
-    to max_len and right-padded with 0; and the documents' lengths.
+    """The owners' documents back to back, in owner order (see Documents),
+    and their lengths: an owner's document is its reviews' ids in record
+    order, truncated to max_len.
 
     ids are the reviews' kept token ids end to end, review_kept each
-    review's number of them and owner each review's owner.
+    review's number of them and owner each review's owner.  The per-token
+    index is int32 wherever ids has fewer than 2**31 entries.
     """
     order = np.argsort(owner, kind="stable")
-    own = owner[order].astype(np.int64)
+    own = owner[order]
     n_kept = review_kept[order]
     start = np.cumsum(n_kept) - n_kept                  # in the owner-sorted stream
     offset = start - start[np.searchsorted(own, own)]   # inside the owner's document
     n_copied = np.clip(max_len - offset, 0, n_kept)
-    slot = np.cumsum(n_copied) - n_copied               # first of each review's slots
-    slots = np.arange(n_copied.sum())
-    src = np.repeat((np.cumsum(review_kept) - review_kept)[order] - slot, n_copied)
-    src += slots
-    dst = np.repeat(own * max_len + offset - slot, n_copied)
-    dst += slots
-    docs = np.zeros((n_owners, max_len), dtype=np.int32)
-    docs.reshape(-1)[dst] = ids[src]
+    first = (np.cumsum(review_kept) - review_kept)[order]       # each review's first id
+    dtype = np.int32 if len(ids) < 2**31 else np.int64
+    src = np.repeat((first - (np.cumsum(n_copied) - n_copied)).astype(dtype), n_copied)
+    src += np.arange(len(src), dtype=dtype)
     lens = np.bincount(own, weights=n_copied, minlength=n_owners).astype(np.int32)
-    return docs, lens
+    return ids[src], lens
 
 
 def save_bundle(bundle: CorpusBundle, path) -> None:

@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import serialize, textcnn
+from .corpus import Documents
 from .linalg import spd_solve, weighted_gram
 from .textcnn import CnnConfig, CnnParams, OptimizerConfig, TrainingDivergedError
 
@@ -173,7 +174,6 @@ def half_step(side: CsrSide, fixed: np.ndarray, targets: np.ndarray | None,
     """
     k, n_rows = fixed.shape[0], len(side.ptr) - 1
     out = np.zeros((k, n_rows)) if targets is None else np.array(targets, dtype=np.float64)
-    fixed_rows = np.ascontiguousarray(fixed.T)         # (n_fixed, k)
     deg = side.counts()
     order = np.argsort(deg, kind="stable")
     degrees, starts = np.unique(deg[order], return_index=True)
@@ -183,16 +183,17 @@ def half_step(side: CsrSide, fixed: np.ndarray, targets: np.ndarray | None,
         step = max(1, SOLVE_CHUNK // (d * k))
         for first in range(0, len(group), step):
             rows = group[first:first + step]
-            out[:, rows] = _solve_rows(side, fixed_rows, out[:, rows].T, rows, d, lam).T
+            out[:, rows] = _solve_rows(side, fixed, out[:, rows].T, rows, d, lam).T
     return out
 
 
-def _solve_rows(side: CsrSide, fixed_rows: np.ndarray, t: np.ndarray, rows: np.ndarray,
+def _solve_rows(side: CsrSide, fixed: np.ndarray, t: np.ndarray, rows: np.ndarray,
                 d: int, lam: float) -> np.ndarray:
     """half_step's solutions (n, k) for rows, all of degree d, with prior means t (n, k)."""
-    k = fixed_rows.shape[1]
+    k = fixed.shape[0]
     entries = side.ptr[rows, None] + np.arange(d)      # (n, d)
-    c_t = fixed_rows[side.cols[entries]]                # (n, d, k): C^T per row
+    # C^T per row, gathered from the (k, n_fixed) matrix into C order
+    c_t = np.ascontiguousarray(fixed[:, side.cols[entries].ravel()].T).reshape(len(rows), d, k)
     c = c_t.swapaxes(1, 2)                              # (n, k, d)
     y = side.vals[entries]                              # (n, d)
     if d < k:
@@ -329,8 +330,7 @@ class TrainedModel:
 class _Side:
     """Training state of one factor side (users or items)."""
 
-    docs: np.ndarray                # one review document per factor column
-    lens: np.ndarray
+    docs: Documents | None          # one review document per factor column, for a CNN
     lam: float                      # prior strength
     fit_losses: list                # the TrainLog list of this side's CNN fit losses
     cnn: CnnParams | None
@@ -380,23 +380,23 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     root = np.random.SeedSequence(hyper.seed)
     factors_ss, user_cnn_ss, item_cnn_ss, fits_ss = root.spawn(4)
 
-    def start_side(docs, lens, lam, fit_losses, want_cnn, cnn_ss) -> _Side:
+    def start_side(name, lam, fit_losses, want_cnn, cnn_ss) -> _Side:
         if not want_cnn:
-            return _Side(docs, lens, lam, fit_losses, None, None)
+            return _Side(None, lam, fit_losses, None, None)
+        docs = getattr(bundle, name)
         if kind == "BiConvMF+":   # stays float64, as its pretrained table
             cnn = textcnn.init_cnn_params(cnn_config, len(bundle.vocab), cnn_ss,
                                           embedding=pretrained_embedding,
                                           embedding_trainable=pretrained_trainable)
         else:   # a fresh CNN trains in float32 (textcnn module docstring)
             cnn = textcnn.init_cnn_params(cnn_config, len(bundle.vocab), cnn_ss).astype(np.float32)
-        return _Side(docs, lens, lam, fit_losses, cnn,
-                     textcnn.forward_many(cnn, docs, lens))
+        return _Side(docs, lam, fit_losses, cnn, textcnn.forward_many(cnn, docs))
 
     log = TrainLog()
-    user = start_side(bundle.user_docs, bundle.user_doc_lens, hyper.lambda_user,
-                      log.fit_losses_user, want_user_cnn, user_cnn_ss)
-    item = start_side(bundle.item_docs, bundle.item_doc_lens, hyper.lambda_item,
-                      log.fit_losses_item, want_item_cnn, item_cnn_ss)
+    user = start_side("user_docs", hyper.lambda_user, log.fit_losses_user,
+                      want_user_cnn, user_cnn_ss)
+    item = start_side("item_docs", hyper.lambda_item, log.fit_losses_item,
+                      want_item_cnn, item_cnn_ss)
     user.factors, item.factors = init_factors(bundle.n_users, bundle.n_items, hyper.n_factors,
                                               factors_ss)
     cnn_sides = [side for side in (user, item) if side.cnn is not None]
@@ -419,8 +419,8 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
         # the params it keeps, so no side is encoded outside the fit
         for side, fit_seed in zip(cnn_sides, fits_ss.spawn(len(cnn_sides))):
             side.cnn, fit_loss, side.encodings = textcnn.fit_to_targets(
-                side.cnn, side.docs, side.lens, side.factors.T, side.lam, hyper.weight_decay,
-                optimizer, fit_seed, start_outputs=side.encodings)
+                side.cnn, side.docs, side.factors.T, side.lam, hyper.weight_decay,
+                optimizer=optimizer, seed=fit_seed, start_outputs=side.encodings)
             side.fit_losses.append(fit_loss)
 
         # with no CNN fitted, nothing has changed since the after-item loss

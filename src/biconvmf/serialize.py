@@ -301,11 +301,20 @@ def _from_sections(cls, payloads: dict):
 
 
 def _rebuild(hint, value, where: str, given=None):
-    """value as its annotated type; a dataclass from a dict of exactly its fields not given."""
+    """value as its annotated type; a list or tuple from a JSON list (of its
+    item type, when the annotation names one); a dataclass from a dict of
+    exactly its fields not given."""
     if hint in (str, int, float, bool):
         return value
+    origin = get_origin(hint) or hint
+    if origin in (list, tuple):
+        item = get_args(hint)[:1]
+        if not isinstance(value, list) or (item and not all(isinstance(v, item[0]) for v in value)):
+            raise ContainerError(f"invalid value for '{where}': not a JSON list"
+                                 + (f" of {item[0].__name__}" if item else ""))
+        return origin(value)
     if not is_dataclass(hint):
-        return _build(get_origin(hint) or hint, where, value)
+        return _build(origin, where, value)
     if not isinstance(value, dict):
         raise ContainerError(f"meta value '{where or 'meta'}' is not a JSON object")
     prefix = where + "." if where else ""

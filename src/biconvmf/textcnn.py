@@ -4,7 +4,8 @@ Architecture: embedding lookup -> parallel convolutions over several window
 widths -> tanh -> max-over-time pooling -> dropout (training only) -> linear
 projection to the latent dimension.  Forward, loss, and gradients are written
 directly in numpy so the gradients can be checked against central finite
-differences.
+differences.  Documents come as a corpus.Documents: token ids back to back,
+with no padding, and each document's length.
 
 Precision: every array a pass computes takes the dtype of the params it is
 given (CnnParams.dtype), and every loss it reports is summed in float64.
@@ -13,15 +14,16 @@ bytes each GEMM, im2col gather and pooling pass moves.  A BiConvMF+ CNN keeps
 the float64 of its pretrained table, and float64 params compute in float64
 throughout; the gradients are checked against finite differences there.
 
-Packed layout: a document with true_len non-pad tokens is convolved over its
-first max(true_len, max window size) positions, and a batch keeps only those
-positions, one document after another.  For each width, a window exists for
-every start inside a document's convolved length and nowhere else, so no
-window reads the next document; windows that overlap the end of a short
-document see its all-zero pad rows.  Max-over-time pooling runs over each
-document's own windows.  The output therefore never depends on how much
-trailing padding a document carries, and an empty document still pools over
-at least one window per width.  Row s of a read-only strided view of the m
+Packed layout: a document with true_len tokens is convolved over its first
+max(true_len, max window size) positions, and a batch keeps only those
+positions, one document after another: a document shorter than the widest
+window gets zero (padding) token ids up to that width, and no other document
+gets any.  For each width, a window exists for every start inside a
+document's convolved length and nowhere else, so no window reads the next
+document; windows that overlap the end of a short document see its all-zero
+pad rows.  Max-over-time pooling runs over each document's own windows.  The
+output therefore never depends on max_len, and an empty document still pools
+over at least one window per width.  Row s of a read-only strided view of the m
 packed embedding rows e is window s flattened, so a width's im2col block is
 one row gather of its window starts.  The backward works on the batch's n_u
 distinct tokens, not its m token positions: per width, one float64 bincount
@@ -67,6 +69,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import serialize
+from .corpus import Documents
 
 CNN_MAGIC = b"BCMFCNNP"
 CNN_VERSION = 2  # 2: config nested under its own meta key; version-1 files are refused
@@ -231,28 +234,34 @@ def init_cnn_params(config: CnnConfig, vocab_size: int, seed,
     return CnnParams(config, emb, filters, biases, proj, proj_bias, trainable)
 
 
-def _check_docs(config: CnnConfig, docs: np.ndarray, lens: np.ndarray):
-    if docs.ndim != 2 or docs.shape[1] != config.max_len:
-        raise ValueError(f"documents must be (batch, {config.max_len}), got {docs.shape}")
-    if lens.shape != (docs.shape[0],):
-        raise ValueError(f"lens shape {lens.shape} does not match batch {docs.shape[0]}")
-    if (lens < 0).any() or (lens > config.max_len).any():
-        raise ValueError("true lengths must lie in [0, max_len]")
+def _check_docs(config: CnnConfig, docs: Documents):
+    lens = docs.lens
+    if lens.ndim != 1 or (lens < 0).any() or (lens > config.max_len).any():
+        raise ValueError(f"document lengths must lie in [0, max_len={config.max_len}]")
+    if docs.tokens.shape != (lens.sum(),):
+        raise ValueError(f"documents of {lens.sum()} tokens in all, got token ids of shape "
+                         f"{docs.tokens.shape}")
 
 
-def _forward_batch(params: CnnParams, docs: np.ndarray, lens: np.ndarray,
+def _forward_batch(params: CnnParams, tokens: np.ndarray, lens: np.ndarray,
                    dropout_mask: np.ndarray | None, want_cache: bool):
-    """Batched forward pass over the packed layout (see the module docstring).
+    """Batched forward pass over the packed layout (see the module docstring)
+    of documents given as their token ids back to back and their lengths.
 
     Returns (outputs, cache); cache holds what the backward pass needs and is
     None unless requested.
     """
     cfg = params.config
     nf = cfg.n_filters
-    batch = docs.shape[0]
-    eff = np.maximum(lens.astype(np.int64), max(cfg.window_sizes))  # convolved lengths
-    tokens = docs[np.arange(docs.shape[1]) < eff[:, None]]          # documents back to back
+    batch = len(lens)
+    widest = max(cfg.window_sizes)
+    eff = np.maximum(lens.astype(np.int64), widest)     # convolved lengths
     doc_start = np.cumsum(eff) - eff
+    if (lens < widest).any():   # pad the short documents to the widest window
+        packed = np.zeros(int(eff.sum()), tokens.dtype)
+        run_start = np.cumsum(lens) - lens
+        packed[np.repeat(doc_start - run_start, lens) + np.arange(len(tokens))] = tokens
+        tokens = packed
     e = params.embedding[tokens]                                    # (n_tokens, p)
     pooled = np.empty((batch, cfg.total_filters), params.dtype)
     argmaxes, starts = [], []
@@ -329,20 +338,21 @@ def _backward_batch(params: CnnParams, cache: dict, d_out: np.ndarray) -> CnnPar
                    proj=g_proj, proj_bias=g_proj_bias)
 
 
-def forward_many(params: CnnParams, docs: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Deterministic encoding of a document matrix, ENCODE_CHUNK documents per
-    pass; packing makes a chunk's cost follow its documents' lengths."""
-    docs = np.asarray(docs)
-    lens = np.asarray(lens)
-    _check_docs(params.config, docs, lens)
-    out = np.empty((docs.shape[0], params.config.output_dim), params.dtype)
-    for start in range(0, docs.shape[0], ENCODE_CHUNK):
-        sel = slice(start, start + ENCODE_CHUNK)
-        out[sel], _ = _forward_batch(params, docs[sel], lens[sel], None, want_cache=False)
+def forward_many(params: CnnParams, docs: Documents) -> np.ndarray:
+    """Deterministic encoding of documents, ENCODE_CHUNK consecutive ones per
+    pass: a chunk's token ids are one slice of docs.tokens, and packing makes
+    its cost follow its documents' lengths."""
+    _check_docs(params.config, docs)
+    out = np.empty((len(docs), params.config.output_dim), params.dtype)
+    for start in range(0, len(docs), ENCODE_CHUNK):
+        lens = docs.lens[start:start + ENCODE_CHUNK]
+        first = docs.offsets[start]
+        out[start:start + len(lens)], _ = _forward_batch(
+            params, docs.tokens[first:first + lens.sum()], lens, None, want_cache=False)
     return out
 
 
-def _loss_and_grads(params: CnnParams, docs, lens, targets, target_weight,
+def _loss_and_grads(params: CnnParams, tokens, lens, targets, target_weight,
                     weight_decay, dropout_mask):
     """Mean loss over the batch and its exact gradients.
 
@@ -354,9 +364,9 @@ def _loss_and_grads(params: CnnParams, docs, lens, targets, target_weight,
     """
     if dropout_mask is not None:
         dropout_mask = dropout_mask.astype(params.dtype, copy=False)
-    out, cache = _forward_batch(params, docs, lens, dropout_mask, want_cache=True)
+    out, cache = _forward_batch(params, tokens, lens, dropout_mask, want_cache=True)
     loss = _objective(params, out, targets, target_weight, weight_decay)
-    d_out = (target_weight / docs.shape[0]) * (out - targets)
+    d_out = (target_weight / len(lens)) * (out - targets)
     grads = _backward_batch(params, cache, d_out.astype(params.dtype, copy=False))
     if weight_decay != 0.0:
         for g, w in zip(grads.decayed(), params.decayed()):
@@ -371,11 +381,11 @@ def _objective(params: CnnParams, outputs, targets, target_weight, weight_decay)
     return data + 0.5 * weight_decay * params.weight_sqnorm()
 
 
-def mean_loss(params: CnnParams, docs, lens, targets, target_weight,
+def mean_loss(params: CnnParams, docs: Documents, targets, target_weight,
               weight_decay) -> tuple[float, np.ndarray]:
     """Mean per-document loss with dropout disabled, and the encodings it
-    scored: (loss, forward_many(params, docs, lens))."""
-    out = forward_many(params, docs, lens)
+    scored: (loss, forward_many(params, docs))."""
+    out = forward_many(params, docs)
     return _objective(params, out, np.asarray(targets, dtype=np.float64),
                       target_weight, weight_decay), out
 
@@ -390,10 +400,10 @@ def _rmsprop_step(params: CnnParams, caches: list[np.ndarray], grads: CnnParams,
         slot -= learning_rate * g / (np.sqrt(cache) + RMSPROP_EPSILON)
 
 
-def fit_to_targets(params: CnnParams, docs, lens, targets,
-                   target_weight: float, weight_decay: float,
+def fit_to_targets(params: CnnParams, docs: Documents, targets,
+                   target_weight: float, weight_decay: float, *,
                    optimizer: OptimizerConfig | None = None,
-                   seed=0, *, start_outputs: np.ndarray
+                   seed=0, start_outputs: np.ndarray
                    ) -> tuple[CnnParams, float, np.ndarray]:
     """Fit the encoder to per-document target vectors.
 
@@ -401,24 +411,23 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
     params' dtype, RMSprop caches included.  The input params are not mutated;
     the returned params are the best seen by mean loss (dropout disabled)
     after each epoch, so the result is never worse than the starting point on
-    the given data.
+    the given data.  Each batch's token ids are gathered through docs'
+    offsets.
 
-    start_outputs must equal forward_many(params, docs, lens): the caller has
+    start_outputs must equal forward_many(params, docs): the caller has
     these encodings already, so the start is scored without another pass.
     Returns (params, mean loss, outputs), where outputs are the encodings of
     the returned params -- from the evaluation pass that selected them, or
     start_outputs when the start wins.
     """
     cfg = optimizer or OptimizerConfig()
-    docs = np.asarray(docs)
-    lens = np.asarray(lens)
     targets = np.asarray(targets, dtype=np.float64)
-    n = docs.shape[0]
+    n = len(docs)
     if targets.shape != (n, params.config.output_dim):
         raise ValueError(f"targets shape {targets.shape} != ({n}, {params.config.output_dim})")
     if start_outputs.shape != targets.shape:
         raise ValueError(f"start_outputs shape {start_outputs.shape} != {targets.shape}")
-    _check_docs(params.config, docs, lens)
+    _check_docs(params.config, docs)
 
     current = params.copy()
     rng = np.random.default_rng(seed)
@@ -436,7 +445,7 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
                 keep = rng.random((len(batch), params.config.total_filters)) >= rate
                 mask = keep / (1.0 - rate)
             loss, grads = _loss_and_grads(
-                current, docs[batch], lens[batch], targets[batch],
+                current, *docs.gather(batch), targets[batch],
                 target_weight, weight_decay, mask,
             )
             if not np.isfinite(loss):
@@ -445,7 +454,7 @@ def fit_to_targets(params: CnnParams, docs, lens, targets,
                     f"learning_rate {cfg.learning_rate})"
                 )
             _rmsprop_step(current, caches, grads, cfg.learning_rate)
-        cur, outputs = mean_loss(current, docs, lens, targets, target_weight, weight_decay)
+        cur, outputs = mean_loss(current, docs, targets, target_weight, weight_decay)
         if cur < best_loss:
             best, best_loss, best_outputs = current.copy(), cur, outputs
     return best, best_loss, best_outputs

@@ -12,8 +12,8 @@ from biconvmf import textcnn
 
 
 def random_case(seed):
-    """A random small CNN setup as a one-row batch:
-    (params, docs, lens, targets, target_weight, weight_decay, mask)."""
+    """A random small CNN setup as a one-document batch:
+    (params, tokens, lens, targets, target_weight, weight_decay, mask)."""
     rng = np.random.default_rng(seed)
     max_len = int(rng.integers(4, 11))
     p = int(rng.integers(1, 5))
@@ -29,22 +29,21 @@ def random_case(seed):
     trainable = bool(rng.integers(0, 2))
     params = textcnn.init_cnn_params(cfg, vocab_size, seed=seed, embedding_trainable=trainable)
     true_len = int(rng.integers(0, max_len + 1))
-    idx = np.zeros(max_len, dtype=np.int32)
-    idx[:true_len] = rng.integers(1, vocab_size + 1, true_len)
+    tokens = rng.integers(1, vocab_size + 1, true_len).astype(np.int32)
     target = rng.normal(0.0, 1.0, k)
     target_weight = float(rng.uniform(0.5, 3.0))
     weight_decay = float(rng.uniform(0.0, 0.1))
     mask = None
     if rng.integers(0, 2):
         mask = (rng.random(cfg.total_filters) >= 0.3) / 0.7
-    return (params, idx[None], np.array([true_len]), target[None], target_weight, weight_decay,
+    return (params, tokens, np.array([true_len]), target[None], target_weight, weight_decay,
             None if mask is None else mask[None])
 
 
-def max_relative_error(params, docs, lens, targets, target_weight, weight_decay, mask,
+def max_relative_error(params, tokens, lens, targets, target_weight, weight_decay, mask,
                        h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    args = (params, docs, lens, targets, target_weight, weight_decay, mask)
+    args = (params, tokens, lens, targets, target_weight, weight_decay, mask)
     _, grads = textcnn._loss_and_grads(*args)
 
     def loss_at():

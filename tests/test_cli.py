@@ -222,6 +222,25 @@ def test_version_1_checkpoint_is_refused(tmp_path, review_file, capsys):
         assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
 
 
+def _with_padded_documents(sections):
+    """A bundle's sections as format 2 laid them out: each side's documents as
+    one (n, max_len) matrix, right-padded with 0, in place of its tokens."""
+    from biconvmf import serialize
+    meta = serialize.json_from_bytes(sections["meta"], "meta")
+    out = {}
+    for name, payload in sections.items():
+        side = name.removesuffix("_tokens")
+        if side == name:
+            out[name] = payload
+            continue
+        tokens = serialize.array_from_bytes(payload, name)
+        lens = serialize.array_from_bytes(sections[f"{side}_doc_lens"], f"{side}_doc_lens")
+        docs = np.zeros((len(lens), meta["max_len"]), np.int32)
+        docs[np.arange(meta["max_len"]) < lens[:, None]] = tokens
+        out[f"{side}_docs"] = serialize.array_payload(docs)
+    return out
+
+
 def _in_previous_layout(sections, moved):
     """Sections as bundle format 1 and checkpoint format 3 laid them out: the
     moved meta keys as JSON sections of their own, right after meta."""
@@ -255,9 +274,38 @@ def test_previous_format_bundle_and_checkpoint_are_refused(tmp_path, review_file
     assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
 
     _, sections = serialize.read_container(bundle, corpus.BUNDLE_MAGIC, (corpus.BUNDLE_VERSION,))
+    sections = _with_padded_documents(sections)
+    assert list(sections)[1:5] == ["user_docs", "user_doc_lens", "item_docs", "item_doc_lens"]
+    serialize.write_container(bundle, corpus.BUNDLE_MAGIC, 2, sections)
+    refused(["train", "--model", "PMF", "--force"], 2)
+
     sections = _in_previous_layout(sections, ["vocab", "user_ids", "item_ids"])
     serialize.write_container(bundle, corpus.BUNDLE_MAGIC, 1, sections)
     refused(["train", "--model", "PMF", "--force"], 1)
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("user_ids", lambda ids: "u" * len(ids), "str"),
+    ("user_ids", lambda ids: list(range(len(ids))), "str"),
+    ("vocab", lambda vocab: [7] * len(vocab), "str"),
+    ("user_ids", lambda ids: dict.fromkeys(ids, 1), "str"),
+], ids=["string", "integers", "numbers", "object"])
+def test_meta_list_of_other_values_is_data_error(tmp_path, review_file, capsys, key, value, kind):
+    # each of these has as many entries as the list it replaces
+    from biconvmf import corpus, serialize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    path = tmp_path / "out/corpus/bundle.bcmf"
+    _, sections = serialize.read_container(path, corpus.BUNDLE_MAGIC, (corpus.BUNDLE_VERSION,))
+    meta = serialize.json_from_bytes(sections["meta"], "meta")
+    meta[key] = value(meta[key])
+    sections["meta"] = serialize.json_to_bytes(meta)
+    serialize.write_container(path, corpus.BUNDLE_MAGIC, corpus.BUNDLE_VERSION, sections)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"invalid value for '{key}': not a JSON list of {kind}" in err and "Traceback" not in err
+    assert not (tmp_path / "out/models/PMF.ckpt").exists()
 
 
 @pytest.mark.parametrize("clip", [[], ["--clip"]], ids=["raw", "clipped"])
@@ -614,12 +662,16 @@ def _with(arr, index, value):
 
 
 @pytest.mark.parametrize("kind, section, edit, argv, message", [
-    ("bundle", "user_docs", lambda a, b: _with(a, (0, 0), len(b.vocab) + 1),
-     ["train", "--model", "BiConvMF"], "user_docs has an entry outside [0, "),
+    ("bundle", "user_tokens", lambda a, b: _with(a, 0, len(b.vocab) + 1),
+     ["train", "--model", "BiConvMF"], "user_tokens has an entry outside [1, "),
+    ("bundle", "item_tokens", lambda a, b: _with(a, -1, 0),
+     ["train", "--model", "PMF"], "item_tokens has an entry outside [1, "),
     ("bundle", "user_doc_lens", lambda a, b: _with(a, 0, b.max_len + 1),
      ["train", "--model", "BiConvMF"], "user_doc_lens has an entry outside [0, 24]"),
-    ("bundle", "item_docs", lambda a, b: a[:, :-1],
-     ["train", "--model", "BiConvMF"], "item_docs has shape"),
+    ("bundle", "item_tokens", lambda a, b: a[:-1],
+     ["train", "--model", "BiConvMF"], "item_doc_lens sum to "),
+    ("bundle", "user_tokens", lambda a, b: np.append(a, a[:1]),
+     ["train", "--model", "PMF"], "user_doc_lens sum to "),
     ("bundle", "train_user_idx", lambda a, b: _with(a, 0, b.n_users),
      ["train", "--model", "PMF"], "train_user_idx has an entry outside"),
     ("bundle", "test_item_idx", lambda a, b: _with(a, -1, b.n_items),
@@ -630,7 +682,8 @@ def _with(arr, index, value):
      ["evaluate", "--model", "PMF"], "user_factors has shape"),
     ("model", "user_factors", lambda a, b: a * np.nan,
      ["evaluate", "--model", "PMF"], "user_factors has a non-finite entry"),
-], ids=["token-past-vocab", "length-past-max-len", "narrow-docs", "train-user-out-of-range",
+], ids=["token-past-vocab", "token-zero", "length-past-max-len", "narrow-docs",
+        "tokens-past-lengths", "train-user-out-of-range",
         "test-item-out-of-range", "nan-rating", "factor-columns", "nan-factors"])
 def test_corrupt_array_section_is_data_error(tmp_path, review_file, capsys,
                                              kind, section, edit, argv, message):

@@ -190,18 +190,22 @@ def test_take_first_n_rejects_negative():
 
 # ---------------------------------------------------------------- documents
 
+def split(docs):
+    """Each of the documents' token ids, as one array per document."""
+    return np.split(docs.tokens, docs.offsets[1:])
+
+
 def docs_of(records, max_vocab=100, min_doc_freq=1, max_len=16):
     """Each user's and each item's document as tokens, from a bundle built on
     all the records, plus the bundle."""
     bundle = corpus.build_bundle(records, list(range(len(records))), [], max_vocab=max_vocab,
                                  min_doc_freq=min_doc_freq, max_len=max_len)
 
-    def side(ids, docs, lens):
-        return {key: [bundle.vocab[t - 1] for t in docs[row, :lens[row]]]
-                for row, key in enumerate(ids)}
+    def side(ids, docs):
+        return {key: [bundle.vocab[t - 1] for t in doc]
+                for key, doc in zip(ids, split(docs), strict=True)}
 
-    return (side(bundle.user_ids, bundle.user_docs, bundle.user_doc_lens),
-            side(bundle.item_ids, bundle.item_docs, bundle.item_doc_lens), bundle)
+    return side(bundle.user_ids, bundle.user_docs), side(bundle.item_ids, bundle.item_docs), bundle
 
 
 def test_review_set_concatenates_in_order():
@@ -215,7 +219,7 @@ def test_review_set_concatenates_in_order():
 def test_review_set_single_empty_review():
     _, items, bundle = docs_of([ReviewRecord("A", "B", 3.0, "")])
     assert items["B"] == []
-    assert len(bundle.vocab) == 0 and not bundle.item_docs.any()
+    assert len(bundle.vocab) == 0 and len(bundle.item_tokens) == 0
 
 
 def test_review_sets_two_users_two_items():
@@ -235,8 +239,9 @@ def test_review_sets_share_one_id_per_token():
         ReviewRecord("B", "Y", 4.0, "more SPACE"),
     ])
     space = bundle.vocab.index("space") + 1
-    assert bundle.user_docs[0, 0] == bundle.item_docs[0, 0] == space
-    assert bundle.user_docs[1, 1] == bundle.item_docs[1, 1] == space
+    users, items = split(bundle.user_docs), split(bundle.item_docs)
+    assert users[0][0] == items[0][0] == space
+    assert users[1][1] == items[1][1] == space
 
 
 # ---------------------------------------------------------------- vocabulary
@@ -251,7 +256,8 @@ def test_vocabulary_frequency_rank_with_lexicographic_ties():
     users, _, bundle = docs_of([ReviewRecord("u1", "i1", 3.0, "b a b"),
                                 ReviewRecord("u2", "i2", 3.0, "c a")])
     assert bundle.vocab == ("a", "b", "c")
-    np.testing.assert_array_equal(bundle.user_docs[:, :3], [[2, 1, 2], [3, 1, 0]])
+    np.testing.assert_array_equal(bundle.user_tokens, [2, 1, 2, 3, 1])
+    np.testing.assert_array_equal(bundle.user_doc_lens, [3, 2])
 
 
 def test_vocabulary_rejects_nonpositive_max():
@@ -297,7 +303,7 @@ def test_tensorize_empty_text():
     users, _, bundle = docs_of([ReviewRecord("A", "X", 3.0, "a"), ReviewRecord("B", "X", 3.0, "")],
                                max_len=3)
     assert users["B"] == []
-    np.testing.assert_array_equal(bundle.user_docs[1], [0, 0, 0])
+    assert bundle.user_doc_lens[1] == 0 and len(bundle.user_tokens) == 1
 
 
 def test_tensorize_truncates():
@@ -375,10 +381,10 @@ def test_bundle_keeps_test_text_out_of_vocab_and_docs():
     bundle = corpus.build_bundle(records, train_idx, test_idx, max_vocab=100, max_len=8)
     assert "sentineltoken" not in bundle.vocab
     assert "dreadful" not in bundle.vocab
-    # u3 has no training reviews: all-padding document
+    # u3 has no training reviews: an empty document
     pos = bundle.user_ids.index("u3")
     assert bundle.user_doc_lens[pos] == 0
-    assert (bundle.user_docs[pos] == 0).all()
+    assert len(split(bundle.user_docs)[pos]) == 0
 
 
 def test_bundle_split_invariants_enforced():
@@ -396,7 +402,7 @@ def test_bundle_roundtrip_bitwise(tmp_path, tiny_bundle):
     assert back.vocab == tiny_bundle.vocab
     assert back.user_ids == tiny_bundle.user_ids
     assert back.item_ids == tiny_bundle.item_ids
-    for name in ("user_docs", "user_doc_lens", "item_docs", "item_doc_lens",
+    for name in ("user_tokens", "user_doc_lens", "item_tokens", "item_doc_lens",
                  "train_user_idx", "train_item_idx", "train_ratings",
                  "test_user_idx", "test_item_idx", "test_ratings"):
         np.testing.assert_array_equal(getattr(back, name), getattr(tiny_bundle, name))
@@ -435,17 +441,25 @@ def test_bundle_meta_mismatch_refused(tmp_path, tiny_bundle, edit, message):
 
 
 def test_bundle_save_and_load_copy_no_array_twice(tmp_path):
-    # documents of 2,000 users make up nearly all of the file; save copies no
-    # array, and load holds the file's bytes once beside the bundle it returns
+    # save copies no array: beyond what the same ids and vocabulary take with
+    # every array empty (the meta JSON, about 200 kB here), it allocates a
+    # small fraction of the arrays' bytes; load holds the file's bytes once
+    # beside the bundle it returns
     bundle = make_bundle(n_users=2000, n_items=100, max_len=64)
     array_bytes = sum(getattr(bundle, f.name).nbytes for f in fields(bundle)
                       if isinstance(getattr(bundle, f.name), np.ndarray))
+    none = np.zeros(0, np.int32)
+    bare = replace(bundle, user_tokens=none, user_doc_lens=np.zeros(bundle.n_users, np.int32),
+                   item_tokens=none, item_doc_lens=np.zeros(bundle.n_items, np.int32),
+                   train_user_idx=none, train_item_idx=none, train_ratings=np.zeros(0),
+                   test_user_idx=none, test_item_idx=none, test_ratings=np.zeros(0))
+    _, bare_peak, _ = traced(corpus.save_bundle, bare, tmp_path / "bare.bcmf")
     path = tmp_path / "bundle.bcmf"
     _, save_peak, _ = traced(corpus.save_bundle, bundle, path)
-    assert save_peak <= 0.5 * array_bytes
+    assert save_peak - bare_peak <= 0.1 * array_bytes
     back, load_peak, kept = traced(corpus.load_bundle, path)
     assert load_peak - kept <= 1.25 * path.stat().st_size
-    np.testing.assert_array_equal(back.user_docs, bundle.user_docs)
+    np.testing.assert_array_equal(back.user_tokens, bundle.user_tokens)
 
 
 def test_bundle_build_is_deterministic():
@@ -453,7 +467,7 @@ def test_bundle_build_is_deterministic():
     b1 = corpus.build_bundle(records, [0, 1, 2, 4], [3], max_len=8)
     b2 = corpus.build_bundle(records, [0, 1, 2, 4], [3], max_len=8)
     assert b1.vocab == b2.vocab
-    np.testing.assert_array_equal(b1.user_docs, b2.user_docs)
+    np.testing.assert_array_equal(b1.user_tokens, b2.user_tokens)
     np.testing.assert_array_equal(b1.train_ratings, b2.train_ratings)
 
 
@@ -467,19 +481,41 @@ def test_bundle_training_text_matches_training_split(tiny_bundle):
 
 
 def test_bundle_documents_pad_right():
+    # stored unpadded, back to back: padding is the CNN's, past each document's end
     records = [ReviewRecord("u1", "i1", 4.0, "a b"), ReviewRecord("u2", "i1", 2.0, "b z")]
     bundle = corpus.build_bundle(records, [0, 1], [], max_len=4)
     assert bundle.vocab == ("b", "a", "z")
-    np.testing.assert_array_equal(bundle.user_docs, [[2, 1, 0, 0], [1, 3, 0, 0]])
+    assert bundle.user_tokens.dtype == bundle.item_tokens.dtype == np.int32
+    np.testing.assert_array_equal(bundle.user_tokens, [2, 1, 1, 3])
     np.testing.assert_array_equal(bundle.user_doc_lens, [2, 2])
-    np.testing.assert_array_equal(bundle.item_docs, [[2, 1, 1, 3]])
+    np.testing.assert_array_equal(bundle.item_tokens, [2, 1, 1, 3])
     np.testing.assert_array_equal(bundle.item_doc_lens, [4])
+    docs = bundle.user_docs
+    assert len(docs) == 2 and docs is bundle.user_docs
+    np.testing.assert_array_equal(docs.offsets, [0, 2])
+    np.testing.assert_array_equal(split(docs)[1], [1, 3])
+    tokens, lens = docs.gather([1, 0, 1])
+    np.testing.assert_array_equal(tokens, [1, 3, 2, 1, 1, 3])
+    np.testing.assert_array_equal(lens, [2, 2, 2])
+
+
+def test_bundle_file_grows_with_its_tokens_not_with_max_len(tmp_path):
+    # ten times max_len pads nothing: the file grows by the 4 bytes of each
+    # int32 token that the longer documents keep, and a few header digits
+    sizes, tokens = [], []
+    for max_len in (64, 640):
+        bundle = make_bundle(n_users=500, n_items=40, max_len=max_len)
+        path = tmp_path / f"{max_len}.bcmf"
+        corpus.save_bundle(bundle, path)
+        sizes.append(path.stat().st_size)
+        tokens.append(len(bundle.user_tokens) + len(bundle.item_tokens))
+    assert tokens[1] > tokens[0]
+    assert 0 <= sizes[1] - sizes[0] - 4 * (tokens[1] - tokens[0]) < 200
 
 
 # The bundle's documents, by the definition they follow: join each side's
 # training reviews with " ", take the [a-z0-9]+ runs of the lowercased joined
-# text, keep the in-vocabulary tokens, truncate to max_len and right-pad
-# with 0.  The Kelvin sign and the dotted capital I lowercase to ASCII ("k",
+# text, keep the in-vocabulary tokens and truncate to max_len.  The Kelvin sign and the dotted capital I lowercase to ASCII ("k",
 # and "i" plus a combining dot); capital sigma lowercases by context, to a
 # letter outside [a-z0-9].  A lone surrogate, a fullwidth digit, sharp s,
 # the fi ligature, tab, newline and NUL all separate tokens.
@@ -515,9 +551,8 @@ def test_bundle_documents_match_joined_text_reference(rows, max_vocab, min_doc_f
     assert bundle.vocab == tuple(sorted(eligible, key=lambda t: (-total[t], t))[:max_vocab])
 
     index = {t: pos + 1 for pos, t in enumerate(bundle.vocab)}
-    for ids, toks, docs_arr, lens in ((bundle.user_ids, user_toks, bundle.user_docs, bundle.user_doc_lens),
-                                      (bundle.item_ids, item_toks, bundle.item_docs, bundle.item_doc_lens)):
-        for row, key in enumerate(ids):
+    for ids, toks, docs in ((bundle.user_ids, user_toks, bundle.user_docs),
+                            (bundle.item_ids, item_toks, bundle.item_docs)):
+        for key, doc in zip(ids, split(docs), strict=True):
             kept = [index[t] for t in toks.get(key, []) if t in index][:max_len]
-            assert lens[row] == len(kept)
-            assert docs_arr[row].tolist() == kept + [0] * (max_len - len(kept))
+            assert doc.tolist() == kept

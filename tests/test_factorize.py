@@ -249,6 +249,19 @@ def test_half_step_holds_one_chunk_of_gathered_columns(monkeypatch):
     assert peak <= out.nbytes + 8 * 8 * n_users + 16 * 8 * factorize.SOLVE_CHUNK
 
 
+def test_item_half_step_copies_no_user_factors():
+    # 40,000 users of one rating each at k = 16: the user factors' transpose,
+    # copied, would take 5.1 MB; each block's columns are gathered from the
+    # (k, n_users) matrix itself, so no transient comes near that size
+    rng = np.random.default_rng(10)
+    k, n_users, n_items = 16, 40000, 30
+    ratings = SparseRatings(np.arange(n_users), rng.integers(0, n_items, n_users),
+                            rng.uniform(1, 5, n_users), n_users, n_items)
+    u = rng.normal(0, 1, (k, n_users))
+    out, peak, _ = traced(factorize.half_step, ratings.by_item, u, None, 1.0)
+    assert peak - out.nbytes < 8 * k * n_users / 2
+
+
 # ---------------------------------------------------------------- joint loss
 
 def test_loss_zero_factors_is_half_sum_of_squares():
@@ -472,10 +485,10 @@ def test_train_encodes_each_side_once(tiny_bundle, monkeypatch):
     forward_many, mean_loss = textcnn.forward_many, textcnn.mean_loss
     encoded, in_eval = [], False
 
-    def counting_forward_many(params, docs, lens, *args, **kwargs):
+    def counting_forward_many(params, docs, *args, **kwargs):
         if not in_eval:
             encoded.append(docs)
-        return forward_many(params, docs, lens, *args, **kwargs)
+        return forward_many(params, docs, *args, **kwargs)
 
     def flagged_mean_loss(*args, **kwargs):
         nonlocal in_eval
@@ -498,8 +511,8 @@ def test_train_encodes_each_side_once(tiny_bundle, monkeypatch):
     # the reused encodings are those of the final CNNs
     ratings = SparseRatings(tiny_bundle.train_user_idx, tiny_bundle.train_item_idx,
                             tiny_bundle.train_ratings, tiny_bundle.n_users, tiny_bundle.n_items)
-    t_user = forward_many(model.cnn_user, tiny_bundle.user_docs, tiny_bundle.user_doc_lens).T
-    t_item = forward_many(model.cnn_item, tiny_bundle.item_docs, tiny_bundle.item_doc_lens).T
+    t_user = forward_many(model.cnn_user, tiny_bundle.user_docs).T
+    t_item = forward_many(model.cnn_item, tiny_bundle.item_docs).T
     assert model.log.losses[-1] == factorize.total_loss(
         ratings, model.user_factors, model.item_factors, t_user, t_item,
         hyper.lambda_user, hyper.lambda_item, hyper.weight_decay,

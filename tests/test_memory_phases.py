@@ -13,6 +13,7 @@ def test_memory_phases_reports_every_phase_at_a_tiny_shape():
         capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(proc.stdout)
     assert report["shape"]["records"] == 150 and report["shape"]["factors"] == 4
+    assert report["bundle_bytes"] > 0
     phases = report["phases"]
     assert [p["phase"] for p in phases] == ["import", "parse", "build", "save", "load", "train"]
     hwm = [p["vm_hwm_mb"] for p in phases]

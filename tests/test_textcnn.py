@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from biconvmf import serialize, textcnn
+from biconvmf.corpus import Documents
 from biconvmf.textcnn import CnnConfig, OptimizerConfig, TrainingDivergedError
 
 import gradcheck
@@ -32,10 +33,19 @@ def zero_params(cfg, vocab_size=5):
 def random_docs(cfg, n, vocab_size, seed=0):
     rng = np.random.default_rng(seed)
     lens = rng.integers(0, cfg.max_len + 1, n)
-    docs = np.zeros((n, cfg.max_len), dtype=np.int32)
-    for i, L in enumerate(lens):
-        docs[i, :L] = rng.integers(1, vocab_size + 1, L)
-    return docs, lens
+    return ragged([rng.integers(1, vocab_size + 1, L) for L in lens])
+
+
+def ragged(rows):
+    """Documents holding each row of token ids."""
+    lens = np.array([len(row) for row in rows], dtype=np.int32)
+    return Documents(np.concatenate([np.zeros(0, np.int32), *rows]).astype(np.int32), lens)
+
+
+def padded(tokens, lens, max_len):
+    """The documents as a (batch, max_len) matrix, right-padded with 0."""
+    return np.array([np.pad(doc, (0, max_len - len(doc)))
+                     for doc in np.split(tokens, np.cumsum(lens)[:-1])], dtype=np.int32)
 
 
 # ---------------------------------------------------------------- config
@@ -55,7 +65,7 @@ def test_config_rejects_bad_dropout():
 def test_forward_all_zero_params_on_padding_doc():
     cfg = tiny_config()
     params = zero_params(cfg)
-    out = textcnn.forward_many(params, np.zeros((1, cfg.max_len), dtype=np.int32), [0])
+    out = textcnn.forward_many(params, ragged([[]]))
     np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
 
@@ -68,7 +78,7 @@ def test_forward_hand_computed_tanh():
     params.embedding[1] = 1.0
     params.filters[0][:] = 1.0
     params.proj[:] = 1.0
-    out = textcnn.forward_many(params, np.array([[1, 0, 0, 0]], dtype=np.int32), [1])
+    out = textcnn.forward_many(params, ragged([[1]]))
     np.testing.assert_allclose(out, [[np.tanh(2.0)]], rtol=0, atol=0)
     assert abs(out[0, 0] - 0.96403) < 1e-5
 
@@ -78,28 +88,30 @@ def test_forward_projection_bias_passthrough():
     params = zero_params(cfg)
     rng = np.random.default_rng(1)
     params.proj_bias[:] = rng.normal(0, 1, 3)
-    docs = np.array([[1, 2, 3] + [0] * 9], dtype=np.int32)
-    np.testing.assert_array_equal(textcnn.forward_many(params, docs, [3]), params.proj_bias[None])
+    np.testing.assert_array_equal(textcnn.forward_many(params, ragged([[1, 2, 3]])),
+                                  params.proj_bias[None])
 
 
 def test_forward_is_deterministic_bitwise():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=3)
-    docs, lens = random_docs(cfg, 6, 9, seed=4)
-    out1 = textcnn.forward_many(params, docs, lens)
-    out2 = textcnn.forward_many(params, docs, lens)
+    docs = random_docs(cfg, 6, 9, seed=4)
+    out1 = textcnn.forward_many(params, docs)
+    out2 = textcnn.forward_many(params, docs)
     assert np.array_equal(out1, out2)
 
 
 def test_forward_many_matches_single():
-    # more documents than one chunk, so the batched pass crosses a chunk boundary
+    # more documents than one chunk, so the batched pass crosses a chunk
+    # boundary; documents shorter than the widest window (3) and longer ones
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=3)
     n = textcnn.ENCODE_CHUNK + 12
-    docs, lens = random_docs(cfg, n, 9, seed=4)
-    batched = textcnn.forward_many(params, docs, lens)
+    docs = random_docs(cfg, n, 9, seed=4)
+    assert (docs.lens < 3).sum() > 5 and (docs.lens > 3).sum() > 5
+    batched = textcnn.forward_many(params, docs)
     for i in range(n):
-        single = textcnn.forward_many(params, docs[i:i + 1], lens[i:i + 1])
+        single = textcnn.forward_many(params, Documents(*docs.gather([i])))
         np.testing.assert_allclose(batched[i], single[0], rtol=0, atol=1e-15)
 
 
@@ -108,11 +120,9 @@ def test_forward_output_independent_of_padding_amount():
     cfg_small = tiny_config(max_len=10)
     params = textcnn.init_cnn_params(cfg_small, 9, seed=5)
     params_wide = replace(params, config=tiny_config(max_len=25))
-    docs, lens = random_docs(cfg_small, 8, 9, seed=6)
-    wide = np.zeros((8, 25), dtype=np.int32)
-    wide[:, :10] = docs
-    out_small = textcnn.forward_many(params, docs, lens)
-    out_wide = textcnn.forward_many(params_wide, wide, lens)
+    docs = random_docs(cfg_small, 8, 9, seed=6)
+    out_small = textcnn.forward_many(params, docs)
+    out_wide = textcnn.forward_many(params_wide, docs)
     assert np.array_equal(out_small, out_wide)
 
 
@@ -120,8 +130,9 @@ def test_pooled_features_stay_inside_tanh_range():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=7)
     params.filter_biases[0][:] = 4.0  # saturate on purpose
-    docs, lens = random_docs(cfg, 10, 9, seed=8)
-    _, cache = textcnn._forward_batch(params, docs.astype(np.int64), lens, None, want_cache=True)
+    docs = random_docs(cfg, 10, 9, seed=8)
+    _, cache = textcnn._forward_batch(params, docs.tokens.astype(np.int64), docs.lens, None,
+                                      want_cache=True)
     pooled = cache["pooled"]
     assert (pooled > -1.0).all() and (pooled < 1.0).all()
 
@@ -129,8 +140,10 @@ def test_pooled_features_stay_inside_tanh_range():
 def test_forward_validates_doc_length():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=3)
-    with pytest.raises(ValueError):
-        textcnn.forward_many(params, np.zeros((1, 5), dtype=np.int32), [0])
+    with pytest.raises(ValueError, match="max_len=12"):
+        textcnn.forward_many(params, ragged([[1] * 13]))
+    with pytest.raises(ValueError, match="4 tokens in all"):
+        textcnn.forward_many(params, Documents(np.ones(5, np.int32), np.array([1, 3])))
 
 
 # ---------------------------------------------------------------- gradient
@@ -138,9 +151,9 @@ def test_forward_validates_doc_length():
 def test_gradient_zero_at_perfect_fit():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=11)
-    docs, lens = random_docs(cfg, 1, 9, seed=12)
-    targets = textcnn.forward_many(params, docs, lens)
-    loss, grads = textcnn._loss_and_grads(params, docs, lens, targets, 2.0, 0.0, None)
+    docs = random_docs(cfg, 1, 9, seed=12)
+    targets = textcnn.forward_many(params, docs)
+    loss, grads = textcnn._loss_and_grads(params, docs.tokens, docs.lens, targets, 2.0, 0.0, None)
     assert loss == 0.0
     assert np.all(grads.proj == 0.0) and np.all(grads.proj_bias == 0.0)
     assert all(np.all(g == 0.0) for g in grads.filters)
@@ -151,10 +164,10 @@ def test_gradient_at_zero_params():
     # loss = (w/2)||t||^2 and the projection-bias gradient is -w * t
     cfg = tiny_config()
     params = zero_params(cfg)
-    docs = np.array([[1, 2] + [0] * 10], dtype=np.int32)
     target = np.array([0.5, -1.0, 2.0])
     weight = 3.0
-    loss, grads = textcnn._loss_and_grads(params, docs, np.array([2]), target[None], weight, 0.0, None)
+    loss, grads = textcnn._loss_and_grads(params, np.array([1, 2]), np.array([2]), target[None],
+                                          weight, 0.0, None)
     assert loss == pytest.approx(0.5 * weight * float((target ** 2).sum()), abs=1e-12)
     np.testing.assert_allclose(grads.proj_bias, -weight * target, rtol=0, atol=1e-15)
     assert np.all(grads.proj == 0.0)
@@ -170,11 +183,10 @@ def test_gradient_with_dropout_mask_matches_finite_differences():
     rng = np.random.default_rng(99)
     cfg = tiny_config(max_len=6, embedding_dim=2, output_dim=2, window_sizes=(2,), n_filters=3)
     params = textcnn.init_cnn_params(cfg, 5, seed=1)
-    docs = np.array([[1, 4, 2, 0, 0, 0]], dtype=np.int32)
     target = rng.normal(0, 1, 2)
     mask = (rng.random(cfg.total_filters) >= 0.4) / 0.6
-    err = gradcheck.max_relative_error(params, docs, np.array([3]), target[None], 1.5, 0.01,
-                                       mask[None])
+    err = gradcheck.max_relative_error(params, np.array([1, 4, 2]), np.array([3]), target[None],
+                                       1.5, 0.01, mask[None])
     assert err < 1e-4
 
 
@@ -186,13 +198,10 @@ def mixed_batch():
     params = textcnn.init_cnn_params(cfg, 6, seed=101)
     assert params.embedding_trainable
     rng = np.random.default_rng(102)
-    lens = np.array([1, 7, 0, 2, 5, 3])
-    docs = np.zeros((len(lens), cfg.max_len), dtype=np.int32)
-    for i, L in enumerate(lens):
-        docs[i, :L] = rng.integers(1, 7, L)
-    targets = rng.normal(0, 1, (len(lens), cfg.output_dim))
-    mask = (rng.random((len(lens), cfg.total_filters)) >= 0.3) / 0.7
-    return params, docs, lens, targets, 1.5, 0.01, mask
+    docs = ragged([rng.integers(1, 7, L) for L in (1, 7, 0, 2, 5, 3)])
+    targets = rng.normal(0, 1, (len(docs), cfg.output_dim))
+    mask = (rng.random((len(docs), cfg.total_filters)) >= 0.3) / 0.7
+    return params, docs.tokens, docs.lens, targets, 1.5, 0.01, mask
 
 
 def test_multi_document_gradient_matches_finite_differences():
@@ -226,13 +235,14 @@ def test_float32_gradients_match_float64_at_the_same_params(case):
 
 
 def test_permuting_the_batch_permutes_outputs_and_keeps_gradients():
-    params, docs, lens, targets, weight, decay, mask = mixed_batch()
+    params, tokens, lens, targets, weight, decay, mask = mixed_batch()
     perm = np.array([3, 0, 5, 2, 1, 4])
-    permuted = (params, docs[perm], lens[perm], targets[perm], weight, decay, mask[perm])
-    out, _ = textcnn._forward_batch(params, docs, lens, mask, want_cache=False)
-    out_p, _ = textcnn._forward_batch(params, docs[perm], lens[perm], mask[perm], want_cache=False)
+    tokens_p, lens_p = Documents(tokens, lens).gather(perm)
+    permuted = (params, tokens_p, lens_p, targets[perm], weight, decay, mask[perm])
+    out, _ = textcnn._forward_batch(params, tokens, lens, mask, want_cache=False)
+    out_p, _ = textcnn._forward_batch(params, tokens_p, lens_p, mask[perm], want_cache=False)
     np.testing.assert_allclose(out_p, out[perm], rtol=0, atol=1e-15)
-    loss, grads = textcnn._loss_and_grads(params, docs, lens, targets, weight, decay, mask)
+    loss, grads = textcnn._loss_and_grads(params, tokens, lens, targets, weight, decay, mask)
     loss_p, grads_p = textcnn._loss_and_grads(*permuted)
     assert loss_p == pytest.approx(loss, rel=0, abs=1e-15)
     for g, g_p in zip(grads.trainable(), grads_p.trainable()):
@@ -242,19 +252,20 @@ def test_permuting_the_batch_permutes_outputs_and_keeps_gradients():
 def test_all_padding_document_pools_its_first_window():
     # every window of an empty document ties, so each filter's max, and with
     # it the whole filter gradient, goes to the document's first window
-    params, docs, lens, *_ = mixed_batch()
-    _, cache = textcnn._forward_batch(params, docs, lens, None, want_cache=True)
+    params, tokens, lens, *_ = mixed_batch()
+    _, cache = textcnn._forward_batch(params, tokens, lens, None, want_cache=True)
     i = int(np.flatnonzero(lens == 0)[0])
     first_token = np.maximum(lens, max(params.config.window_sizes))[:i].sum()
     for starts, argmax in zip(cache["starts"], cache["argmaxes"]):
         assert (starts[argmax[i]] == first_token).all()
 
 
-def reference_pooling(params, docs, lens):
-    """Per-document loop in the plain order, tanh(conv + bias) then max:
-    (pooled, argmaxes), argmaxes per width as (batch, n_filters) window
-    offsets within each document."""
+def reference_pooling(params, tokens, lens):
+    """Per-document loop over padded documents in the plain order, tanh(conv
+    + bias) then max: (pooled, argmaxes), argmaxes per width as (batch,
+    n_filters) window offsets within each document."""
     cfg = params.config
+    docs = padded(tokens, lens, cfg.max_len)
     pooled, argmaxes = [], []
     for wi, w in enumerate(cfg.window_sizes):
         filters = params.filters[wi].reshape(cfg.n_filters, -1)
@@ -287,19 +298,16 @@ def pooling_batch(dyadic):
     params = textcnn.init_cnn_params(cfg, 6, seed=111)
     if dyadic:
         make_dyadic(params, np.random.default_rng(112))
-    rows = [[], [1, 2, 1, 2, 1, 2, 1, 2], [3], [4, 4, 4, 4, 4, 4], [5, 6], [],
-            [2, 5, 2, 5, 2], [1, 2, 3, 4, 5, 6, 1, 2, 3], [6, 6, 6]]
-    docs = np.zeros((len(rows), cfg.max_len), dtype=np.int32)
-    for i, row in enumerate(rows):
-        docs[i, :len(row)] = row
-    return params, docs, np.array([len(row) for row in rows])
+    docs = ragged([[], [1, 2, 1, 2, 1, 2, 1, 2], [3], [4, 4, 4, 4, 4, 4], [5, 6], [],
+                   [2, 5, 2, 5, 2], [1, 2, 3, 4, 5, 6, 1, 2, 3], [6, 6, 6]])
+    return params, docs.tokens, docs.lens
 
 
 @pytest.mark.parametrize("dyadic", [True, False])
 def test_pooling_and_argmax_match_per_document_loop(dyadic):
-    params, docs, lens = pooling_batch(dyadic)
-    _, cache = textcnn._forward_batch(params, docs, lens, None, want_cache=True)
-    pooled, argmaxes = reference_pooling(params, docs, lens)
+    params, tokens, lens = pooling_batch(dyadic)
+    _, cache = textcnn._forward_batch(params, tokens, lens, None, want_cache=True)
+    pooled, argmaxes = reference_pooling(params, tokens, lens)
     if dyadic:
         np.testing.assert_array_equal(cache["pooled"], pooled)
     else:
@@ -311,12 +319,13 @@ def test_pooling_and_argmax_match_per_document_loop(dyadic):
         np.testing.assert_array_equal(got - first[:, None], want)
 
 
-def scatter_reference_grads(params, docs, lens, targets, target_weight, weight_decay, mask):
-    """_loss_and_grads' gradients by the plain route: an element-gather
-    im2col, a searchsorted argmax, and the embedding gradient through the
-    (windows, w*p) input gradient, scattered offset by offset and summed per
-    token in float64 with np.add.at."""
+def scatter_reference_grads(params, tokens, lens, targets, target_weight, weight_decay, mask):
+    """_loss_and_grads' gradients by the plain route: padded documents, an
+    element-gather im2col, a searchsorted argmax, and the embedding gradient
+    through the (windows, w*p) input gradient, scattered offset by offset and
+    summed per token in float64 with np.add.at."""
     cfg, dtype, nf = params.config, params.dtype, params.config.n_filters
+    docs = padded(tokens, lens, cfg.max_len)
     eff = np.maximum(lens, max(cfg.window_sizes))
     tokens = docs[np.arange(cfg.max_len) < eff[:, None]]
     doc_start = np.cumsum(eff) - eff
@@ -374,15 +383,15 @@ def test_gradients_equal_the_per_offset_scatter_bitwise(batch, dtype, trainable)
     # gradients, through tanh, sum in another order than the scatter's
     rounded = {"float64": 1e-15, "float32": 5e-7}[np.dtype(dtype).name] if batch == "pooling" else 0
     if batch == "pooling":
-        params, docs, lens = pooling_batch(dyadic=True)
+        params, tokens, lens = pooling_batch(dyadic=True)
         targets = np.random.default_rng(131).normal(0, 1, (len(lens), params.config.output_dim))
         rest = (targets, 1.5, 0.01, None)
     else:
-        params, docs, lens, *rest = mixed_batch()
+        params, tokens, lens, *rest = mixed_batch()
         make_dyadic(params, np.random.default_rng(132))
     params = replace(params.astype(dtype), embedding_trainable=trainable)
-    _, grads = textcnn._loss_and_grads(params, docs, lens, *rest)
-    want = scatter_reference_grads(params, docs, lens, *rest)
+    _, grads = textcnn._loss_and_grads(params, tokens, lens, *rest)
+    want = scatter_reference_grads(params, tokens, lens, *rest)
     assert (grads.embedding is None) == (not trainable)
     weights = {id(a) for a in [want.embedding, *want.filters]}
     for g, w in zip(grads.trainable(), want.trainable(), strict=True):
@@ -416,13 +425,13 @@ def test_distinct_token_backward_is_exact_on_dyadic_values(dtype):
     # with d_out, proj, filters and embedding all dyadic and tanh' = 1, every
     # product and sum is exact, so the bincount-and-GEMM route must give the
     # plain loop's bits, ties (empty documents, repeated n-grams) included
-    params, docs, lens = pooling_batch(dyadic=True)
+    params, tokens, lens = pooling_batch(dyadic=True)
     rng = np.random.default_rng(141)
     params.proj[:] = rng.integers(-3, 4, params.proj.shape) / 8
     params = params.astype(dtype)
-    _, cache = textcnn._forward_batch(params, docs, lens, None, want_cache=True)
+    _, cache = textcnn._forward_batch(params, tokens, lens, None, want_cache=True)
     cache["pooled"][:] = 0.0
-    d_out = (rng.integers(-3, 4, (len(docs), params.config.output_dim)) / 8).astype(dtype)
+    d_out = (rng.integers(-3, 4, (len(lens), params.config.output_dim)) / 8).astype(dtype)
     grads = textcnn._backward_batch(params, cache, d_out)
     g_filters, g_emb = loop_reference_weight_grads(params, cache, d_out)
     np.testing.assert_array_equal(grads.embedding, g_emb)
@@ -441,15 +450,16 @@ def test_gradients_match_the_per_offset_scatter_at_random_params():
 def test_nan_filter_is_a_divergence_not_an_index_error():
     # the last filter of the last width: a max with no hit would index past
     # the end of the hits
-    params, docs, lens, targets, weight, decay, mask = mixed_batch()
+    params, tokens, lens, targets, weight, decay, mask = mixed_batch()
     params.filters[-1][-1, 0, 0] = np.nan
-    _, cache = textcnn._forward_batch(params, docs, lens, mask, want_cache=True)
+    _, cache = textcnn._forward_batch(params, tokens, lens, mask, want_cache=True)
     n_win = np.maximum(lens, max(params.config.window_sizes)) - params.config.window_sizes[-1] + 1
     assert np.array_equal(cache["argmaxes"][-1][:, -1], np.cumsum(n_win) - n_win)
-    loss, _ = textcnn._loss_and_grads(params, docs, lens, targets, weight, decay, mask)
+    loss, _ = textcnn._loss_and_grads(params, tokens, lens, targets, weight, decay, mask)
     assert not np.isfinite(loss)
     with pytest.raises(TrainingDivergedError):
-        fit(params, docs, lens, targets, weight, decay, OptimizerConfig(batch_size=4), seed=5)
+        fit(params, Documents(tokens, lens), targets, weight, decay,
+            optimizer=OptimizerConfig(batch_size=4), seed=5)
 
 
 def test_frozen_embedding_leaves_the_other_gradients_bitwise_equal():
@@ -465,9 +475,9 @@ def test_frozen_embedding_leaves_the_other_gradients_bitwise_equal():
 def test_backward_leaves_its_cache_intact():
     # the cache holds no row per packed token or window (no embedding rows,
     # no (windows, w*p) im2col block), and the backward only reads it
-    params, docs, lens, targets, weight, decay, mask = mixed_batch()
-    out, cache = textcnn._forward_batch(params, docs, lens, mask, want_cache=True)
-    d_out = (weight / len(docs)) * (out - targets)
+    params, tokens, lens, targets, weight, decay, mask = mixed_batch()
+    out, cache = textcnn._forward_batch(params, tokens, lens, mask, want_cache=True)
+    d_out = (weight / len(lens)) * (out - targets)
 
     def arrays(c):
         return [a for v in c.values() for a in (v if isinstance(v, list) else [v])]
@@ -488,69 +498,69 @@ def test_backward_leaves_its_cache_intact():
 
 # ---------------------------------------------------------------- fitting
 
-def fit(params, docs, lens, targets, *args, **kwargs):
+def fit(params, docs, targets, *args, **kwargs):
     """fit_to_targets started from the params' own encodings."""
-    return textcnn.fit_to_targets(params, docs, lens, targets, *args,
-                                  start_outputs=textcnn.forward_many(params, docs, lens), **kwargs)
+    return textcnn.fit_to_targets(params, docs, targets, *args,
+                                  start_outputs=textcnn.forward_many(params, docs), **kwargs)
 
 
 def test_fit_keeps_perfect_params():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=21)
-    docs, lens = random_docs(cfg, 24, 9, seed=22)
-    targets = textcnn.forward_many(params, docs, lens)
-    fitted, loss, outputs = fit(params, docs, lens, targets, 2.0, 0.0,
-                                OptimizerConfig(epochs=3, batch_size=8), seed=23)
+    docs = random_docs(cfg, 24, 9, seed=22)
+    targets = textcnn.forward_many(params, docs)
+    fitted, loss, outputs = fit(params, docs, targets, 2.0, 0.0,
+                                optimizer=OptimizerConfig(epochs=3, batch_size=8), seed=23)
     assert loss <= 1e-12
     assert np.array_equal(fitted.proj, params.proj)
     assert np.array_equal(fitted.embedding, params.embedding)
     # the start won, so its encodings come back
-    assert np.array_equal(outputs, textcnn.forward_many(fitted, docs, lens))
+    assert np.array_equal(outputs, textcnn.forward_many(fitted, docs))
 
 
 def test_fit_reduces_loss():
     cfg = tiny_config(dropout_rate=0.2)
     params = textcnn.init_cnn_params(cfg, 9, seed=31)
-    docs, lens = random_docs(cfg, 40, 9, seed=32)
+    docs = random_docs(cfg, 40, 9, seed=32)
     targets = np.random.default_rng(33).normal(0, 1, (40, 3))
-    start, start_outputs = textcnn.mean_loss(params, docs, lens, targets, 2.0, 1e-4)
-    assert np.array_equal(start_outputs, textcnn.forward_many(params, docs, lens))
-    fitted, final, outputs = fit(params, docs, lens, targets, 2.0, 1e-4,
-                                 OptimizerConfig(epochs=4, batch_size=16), seed=34)
+    start, start_outputs = textcnn.mean_loss(params, docs, targets, 2.0, 1e-4)
+    assert np.array_equal(start_outputs, textcnn.forward_many(params, docs))
+    fitted, final, outputs = fit(params, docs, targets, 2.0, 1e-4,
+                                 optimizer=OptimizerConfig(epochs=4, batch_size=16), seed=34)
     assert final < start
-    assert final == textcnn.mean_loss(fitted, docs, lens, targets, 2.0, 1e-4)[0]
+    assert final == textcnn.mean_loss(fitted, docs, targets, 2.0, 1e-4)[0]
     # a later epoch won, so its evaluation pass's encodings come back
-    assert np.array_equal(outputs, textcnn.forward_many(fitted, docs, lens))
+    assert np.array_equal(outputs, textcnn.forward_many(fitted, docs))
 
 
 def test_fit_refuses_mismatched_start_outputs():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=35)
-    docs, lens = random_docs(cfg, 6, 9, seed=36)
+    docs = random_docs(cfg, 6, 9, seed=36)
     targets = np.zeros((6, 3))
     with pytest.raises(ValueError, match="start_outputs"):
-        textcnn.fit_to_targets(params, docs, lens, targets, 2.0, 0.0,
+        textcnn.fit_to_targets(params, docs, targets, 2.0, 0.0,
                                start_outputs=np.zeros((5, 3)))
 
 
 def test_fit_never_returns_worse_than_start():
     cfg = tiny_config(dropout_rate=0.5)
     params = textcnn.init_cnn_params(cfg, 9, seed=41)
-    docs, lens = random_docs(cfg, 16, 9, seed=42)
+    docs = random_docs(cfg, 16, 9, seed=42)
     targets = np.random.default_rng(43).normal(0, 3, (16, 3))
-    start, _ = textcnn.mean_loss(params, docs, lens, targets, 5.0, 0.0)
-    _, final, _ = fit(params, docs, lens, targets, 5.0, 0.0,
-                      OptimizerConfig(learning_rate=0.5, epochs=1, batch_size=4), seed=44)
+    start, _ = textcnn.mean_loss(params, docs, targets, 5.0, 0.0)
+    _, final, _ = fit(params, docs, targets, 5.0, 0.0,
+                      optimizer=OptimizerConfig(learning_rate=0.5, epochs=1, batch_size=4), seed=44)
     assert final <= start
 
 
 def test_fit_same_seed_is_bitwise_identical():
     cfg = tiny_config(dropout_rate=0.3)
     params = textcnn.init_cnn_params(cfg, 9, seed=51)
-    docs, lens = random_docs(cfg, 20, 9, seed=52)
+    docs = random_docs(cfg, 20, 9, seed=52)
     targets = np.random.default_rng(53).normal(0, 1, (20, 3))
-    a, la, oa = fit(params, docs, lens, targets, 2.0, 1e-4, seed=54)
-    b, lb, ob = fit(params, docs, lens, targets, 2.0, 1e-4, seed=54)
+    a, la, oa = fit(params, docs, targets, 2.0, 1e-4, seed=54)
+    b, lb, ob = fit(params, docs, targets, 2.0, 1e-4, seed=54)
     assert la == lb
     assert np.array_equal(oa, ob)
     assert np.array_equal(a.embedding, b.embedding)
@@ -563,9 +573,9 @@ def test_fit_does_not_mutate_input():
     cfg = tiny_config(dropout_rate=0.2)
     params = textcnn.init_cnn_params(cfg, 9, seed=61)
     snapshot = params.copy()
-    docs, lens = random_docs(cfg, 10, 9, seed=62)
+    docs = random_docs(cfg, 10, 9, seed=62)
     targets = np.random.default_rng(63).normal(0, 1, (10, 3))
-    fit(params, docs, lens, targets, 2.0, 1e-4, seed=64)
+    fit(params, docs, targets, 2.0, 1e-4, seed=64)
     assert np.array_equal(params.embedding, snapshot.embedding)
     assert np.array_equal(params.proj, snapshot.proj)
 
@@ -574,11 +584,11 @@ def test_fit_aborts_on_divergence():
     cfg = tiny_config()
     params = textcnn.init_cnn_params(cfg, 9, seed=71)
     params.proj[:] = 1e300  # overflow the data term immediately
-    docs, lens = random_docs(cfg, 8, 9, seed=72)
+    docs = random_docs(cfg, 8, 9, seed=72)
     targets = np.zeros((8, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError, match="batch"):
-            fit(params, docs, lens, targets, 2.0, 0.0, seed=73)
+            fit(params, docs, targets, 2.0, 0.0, seed=73)
 
 
 @pytest.mark.skipif(not textcnn.HEAP_TOP_KEPT, reason="the C library has no mallopt")
@@ -588,12 +598,12 @@ def test_repeated_fit_reuses_its_scratch_memory():
     resource = pytest.importorskip("resource")
     cfg = CnnConfig(max_len=64, embedding_dim=32, window_sizes=(3, 4, 5), n_filters=64)
     params = textcnn.init_cnn_params(cfg, 2000, seed=121)
-    docs, lens = random_docs(cfg, 512, 2000, seed=122)
+    docs = random_docs(cfg, 512, 2000, seed=122)
     targets = np.random.default_rng(123).normal(0, 1, (512, cfg.output_dim))
     opt = OptimizerConfig(epochs=2)
-    fit(params, docs, lens, targets, 1.0, 1e-4, opt, seed=124)
+    fit(params, docs, targets, 1.0, 1e-4, optimizer=opt, seed=124)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    fit(params, docs, lens, targets, 1.0, 1e-4, opt, seed=124)
+    fit(params, docs, targets, 1.0, 1e-4, optimizer=opt, seed=124)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
@@ -610,10 +620,7 @@ def test_repeated_fit_at_embedding_width_200_reuses_its_scratch_memory(monkeypat
     cfg = CnnConfig(max_len=64, embedding_dim=200, window_sizes=(3, 4, 5), n_filters=64)
     params = textcnn.init_cnn_params(cfg, 2000, seed=125).astype(np.float32)
     rng = np.random.default_rng(126)
-    lens = rng.integers(16, cfg.max_len + 1, 512)
-    docs = np.zeros((512, cfg.max_len), dtype=np.int32)
-    for i, L in enumerate(lens):
-        docs[i, :L] = rng.integers(1, 2001, L)
+    docs = ragged([rng.integers(1, 2001, L) for L in rng.integers(16, cfg.max_len + 1, 512)])
     targets = rng.normal(0, 1, (512, cfg.output_dim))
     opt = OptimizerConfig(epochs=1)
     faults = []
@@ -626,9 +633,9 @@ def test_repeated_fit_at_embedding_width_200_reuses_its_scratch_memory(monkeypat
         return grads
 
     monkeypatch.setattr(textcnn, "_backward_batch", counted)
-    fit(params, docs, lens, targets, 1.0, 1e-4, opt, seed=127)
+    fit(params, docs, targets, 1.0, 1e-4, optimizer=opt, seed=127)
     faults.clear()
-    fit(params, docs, lens, targets, 1.0, 1e-4, opt, seed=127)
+    fit(params, docs, targets, 1.0, 1e-4, optimizer=opt, seed=127)
     assert len(faults) == 4 and sum(faults) < 300
 
 
@@ -638,9 +645,9 @@ def test_frozen_embedding_does_not_move():
     pre[0] = 0.0
     params = textcnn.init_cnn_params(cfg, 9, seed=82, embedding=pre)
     assert params.embedding_trainable is False
-    docs, lens = random_docs(cfg, 12, 9, seed=83)
+    docs = random_docs(cfg, 12, 9, seed=83)
     targets = np.random.default_rng(84).normal(0, 1, (12, 3))
-    fitted, _, _ = fit(params, docs, lens, targets, 2.0, 1e-4, seed=85)
+    fitted, _, _ = fit(params, docs, targets, 2.0, 1e-4, seed=85)
     assert np.array_equal(fitted.embedding, pre)
     assert not np.array_equal(fitted.proj, params.proj)
 
@@ -649,9 +656,9 @@ def test_weight_decay_keeps_padding_row_zero():
     cfg = tiny_config(dropout_rate=0.2)
     params = textcnn.init_cnn_params(cfg, 9, seed=91)
     assert params.embedding_trainable
-    docs, lens = random_docs(cfg, 12, 9, seed=92)
+    docs = random_docs(cfg, 12, 9, seed=92)
     targets = np.random.default_rng(93).normal(0, 1, (12, 3))
-    fitted, _, _ = fit(params, docs, lens, targets, 2.0, 0.5, seed=94)
+    fitted, _, _ = fit(params, docs, targets, 2.0, 0.5, seed=94)
     assert not np.array_equal(fitted.embedding, params.embedding)
     assert np.array_equal(fitted.embedding[0], np.zeros(cfg.embedding_dim))
 
