@@ -331,6 +331,8 @@ def cmd_evaluate(cfg: RunConfig, model_kind: str, clip: bool, force: bool) -> in
     _require_file(ckpt, f"checkpoint not found at {ckpt}; run `biconvmf train --model {kind}` first")
     bundle = _load_bundle_or_fail(paths, ["test"])
     model = factorize.load_model(ckpt)
+    if model.model_kind != kind:
+        raise DataError(f"{ckpt} holds a {model.model_kind} model, not {kind}; retrain it")
     if model.user_ids != bundle.user_ids or model.item_ids != bundle.item_ids:
         raise DataError(f"{ckpt} was trained on another corpus (its user or item ids differ "
                         f"from {paths['bundle']}); retrain it")

@@ -13,14 +13,16 @@ Each outer iteration alternates exact closed-form row updates
     v_j <- (U_j U_j^T + lambda_v I)^-1 (U_j r_j + lambda_v * prior_v(j))
 
 (sums over the rated entries only) with a few epochs of CNN refitting toward
-the fresh factor columns.  Holding the CNN outputs fixed, each half-step is
+the fresh factor rows.  Holding the CNN outputs fixed, each half-step is
 an exact minimizer, so the joint loss never increases across it.  One
 function, half_step, serves both sides: it groups the rows of a side by
 their number of ratings and solves each group as stacked systems (the
 batched ALS-WR half-step of Zhou et al., 2008), with no per-row loop.
+Training holds each factor matrix as (n, k) rows, as the CNNs output them;
+TrainedModel stores the paper's (k, n) columns.
 
 Memory: the stacked solves and the rating predictions gather factor
-columns per row or per rating, so each works through bounded blocks
+rows per row or per rating, so each works through bounded blocks
 (SOLVE_CHUNK, PAIR_CHUNK) rather than a whole side at once.  Every row's or
 pair's arithmetic is the same in any block, so the results do not depend on
 the block sizes, bit for bit.
@@ -49,7 +51,7 @@ DEFAULT_LAMBDAS = {
 }
 
 SOLVE_CHUNK = 1 << 16   # entries of C (rows * d * k) gathered per stacked solve in half_step
-PAIR_CHUNK = 4096       # (user, item) pairs per block of factor columns in pair_dots
+PAIR_CHUNK = 4096       # (user, item) pairs per block of factor rows in pair_dots
 
 MODEL_MAGIC = b"BCMFMODL"
 MODEL_VERSION = 4  # 4: ids in meta, no stopped_early; older files are refused
@@ -148,12 +150,13 @@ class SparseRatings:
 
 
 def init_factors(n_users: int, n_items: int, n_factors: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """U (k x N) and V (k x M) with entries i.i.d. Uniform[0, 1), seeded."""
+    """U (N x k) and V (M x k), C-ordered, with entries i.i.d. Uniform[0, 1):
+    the seeded draws fill U^T (k x N), then V^T (k x M)."""
     if min(n_users, n_items, n_factors) < 1:
         raise ValueError("n_users, n_items, n_factors must all be >= 1")
     rng = np.random.default_rng(seed)
-    u = rng.random((n_factors, n_users))
-    v = rng.random((n_factors, n_items))
+    u = rng.random((n_factors, n_users)).T.copy()
+    v = rng.random((n_factors, n_items)).T.copy()
     return u, v
 
 
@@ -161,8 +164,8 @@ def half_step(side: CsrSide, fixed: np.ndarray, targets: np.ndarray | None,
               lam: float) -> np.ndarray:
     """Exact minimizer of the joint loss over one factor matrix, all rows at once.
 
-    Row r with columns C = fixed[:, cols of r] (k x d), ratings y and prior
-    mean t (its target column, zeros when targets is None) solves
+    Row r with C = fixed[cols of r].T (k x d), ratings y and prior mean t
+    (its row of the (n, k) targets, zeros when targets is None) solves
 
         (C C^T + lam I_k) x = C y + lam t.
 
@@ -170,10 +173,10 @@ def half_step(side: CsrSide, fixed: np.ndarray, targets: np.ndarray | None,
     systems of at most max(1, SOLVE_CHUNK // (d k)) rows: for d >= k the
     k x k system above; for d < k the d x d push-through form
     x = t + C (C^T C + lam I_d)^-1 (y - C^T t), the same minimizer.  Rows
-    with no ratings get their target column verbatim.
+    with no ratings get their target row verbatim.  Returns (n, k).
     """
-    k, n_rows = fixed.shape[0], len(side.ptr) - 1
-    out = np.zeros((k, n_rows)) if targets is None else np.array(targets, dtype=np.float64)
+    k, n_rows = fixed.shape[1], len(side.ptr) - 1
+    out = np.zeros((n_rows, k)) if targets is None else np.array(targets, dtype=np.float64)
     deg = side.counts()
     order = np.argsort(deg, kind="stable")
     degrees, starts = np.unique(deg[order], return_index=True)
@@ -183,17 +186,16 @@ def half_step(side: CsrSide, fixed: np.ndarray, targets: np.ndarray | None,
         step = max(1, SOLVE_CHUNK // (d * k))
         for first in range(0, len(group), step):
             rows = group[first:first + step]
-            out[:, rows] = _solve_rows(side, fixed, out[:, rows].T, rows, d, lam).T
+            out[rows] = _solve_rows(side, fixed, out[rows], rows, d, lam)
     return out
 
 
 def _solve_rows(side: CsrSide, fixed: np.ndarray, t: np.ndarray, rows: np.ndarray,
                 d: int, lam: float) -> np.ndarray:
     """half_step's solutions (n, k) for rows, all of degree d, with prior means t (n, k)."""
-    k = fixed.shape[0]
+    k = fixed.shape[1]
     entries = side.ptr[rows, None] + np.arange(d)      # (n, d)
-    # C^T per row, gathered from the (k, n_fixed) matrix into C order
-    c_t = np.ascontiguousarray(fixed[:, side.cols[entries].ravel()].T).reshape(len(rows), d, k)
+    c_t = fixed[side.cols[entries]]                     # C^T per row: (n, d, k)
     c = c_t.swapaxes(1, 2)                              # (n, k, d)
     y = side.vals[entries]                              # (n, d)
     if d < k:
@@ -208,13 +210,13 @@ def _solve_rows(side: CsrSide, fixed: np.ndarray, t: np.ndarray, rows: np.ndarra
 
 def update_user_factors(ratings: SparseRatings, item_factors: np.ndarray,
                         targets: np.ndarray | None, lambda_user: float) -> np.ndarray:
-    """User half-step: targets holds the per-user prior means as columns."""
+    """User half-step: targets holds the per-user prior means as rows."""
     return half_step(ratings.by_user, item_factors, targets, lambda_user)
 
 
 def update_item_factors(ratings: SparseRatings, user_factors: np.ndarray,
                         targets: np.ndarray | None, lambda_item: float) -> np.ndarray:
-    """Item half-step: targets holds the per-item prior means as columns."""
+    """Item half-step: targets holds the per-item prior means as rows."""
     return half_step(ratings.by_item, user_factors, targets, lambda_item)
 
 
@@ -223,7 +225,7 @@ def total_loss(ratings: SparseRatings, user_factors: np.ndarray, item_factors: n
                lambda_user: float, lambda_item: float,
                weight_decay: float = 0.0,
                user_weight_sqnorm: float = 0.0, item_weight_sqnorm: float = 0.0) -> float:
-    """Joint MAP loss: squared rating error plus factor-prior and weight terms.
+    """Joint MAP loss of (n, k) factors: squared rating error plus prior and weight terms.
 
     0.5 * sum_(i,j) (r_ij - u_i . v_j)^2
     + (lambda_user/2) * sum_i ||u_i - prior_u(i)||^2
@@ -244,12 +246,12 @@ def total_loss(ratings: SparseRatings, user_factors: np.ndarray, item_factors: n
 
 def pair_dots(user_factors: np.ndarray, item_factors: np.ndarray,
               users: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """u_i . v_j for each pair (users[p], items[p]), gathering the factor
-    columns of PAIR_CHUNK pairs at a time."""
+    """u_i . v_j for each pair (users[p], items[p]) from (n, k) factor rows,
+    gathering those of PAIR_CHUNK pairs at a time."""
     dots = np.empty(len(users))
     for start in range(0, len(users), PAIR_CHUNK):
         sel = slice(start, start + PAIR_CHUNK)
-        dots[sel] = np.einsum("ki,ki->i", user_factors[:, users[sel]], item_factors[:, items[sel]])
+        dots[sel] = np.einsum("ik,ik->i", user_factors[users[sel]], item_factors[items[sel]])
     return dots
 
 
@@ -312,7 +314,7 @@ class TrainedModel:
             bad = idx[(idx < 0) | (idx >= n)]
             if bad.size:
                 raise ValueError(f"{side} index {bad[0]} outside [0, {n})")
-        dots = pair_dots(self.user_factors, self.item_factors, user_idx, item_idx)
+        dots = pair_dots(self.user_factors.T, self.item_factors.T, user_idx, item_idx)
         warm_u = self.user_train_counts[user_idx] > 0
         warm_i = self.item_train_counts[item_idx] > 0
         preds = np.where(warm_u & warm_i, dots, self.item_means[item_idx])
@@ -330,16 +332,12 @@ class TrainedModel:
 class _Side:
     """Training state of one factor side (users or items)."""
 
-    docs: Documents | None          # one review document per factor column, for a CNN
+    docs: Documents | None          # one review document per factor row, for a CNN
     lam: float                      # prior strength
     fit_losses: list                # the TrainLog list of this side's CNN fit losses
     cnn: CnnParams | None
-    encodings: np.ndarray | None    # (n, k) outputs of cnn on docs: the prior means
-    factors: np.ndarray | None = None   # (k, n) factor columns
-
-    def targets(self) -> np.ndarray | None:
-        """Prior means as columns, or None for the zero prior."""
-        return None if self.encodings is None else self.encodings.T
+    encodings: np.ndarray | None    # (n, k) outputs of cnn on docs: the prior means; None for zero
+    factors: np.ndarray | None = None   # (n, k) factor rows
 
     def weight_sqnorm(self) -> float:
         return 0.0 if self.cnn is None else self.cnn.weight_sqnorm()
@@ -402,7 +400,7 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     cnn_sides = [side for side in (user, item) if side.cnn is not None]
 
     def loss_now():
-        return total_loss(ratings, user.factors, item.factors, user.targets(), item.targets(),
+        return total_loss(ratings, user.factors, item.factors, user.encodings, item.encodings,
                           user.lam, item.lam, hyper.weight_decay,
                           user.weight_sqnorm(), item.weight_sqnorm())
 
@@ -410,16 +408,16 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
     streak = 0
     prev_loss = None
     for it in range(1, hyper.outer_iters + 1):
-        user.factors = update_user_factors(ratings, item.factors, user.targets(), user.lam)
+        user.factors = update_user_factors(ratings, item.factors, user.encodings, user.lam)
         log.losses_after_user.append(loss_now())
-        item.factors = update_item_factors(ratings, user.factors, item.targets(), item.lam)
+        item.factors = update_item_factors(ratings, user.factors, item.encodings, item.lam)
         log.losses_after_item.append(loss_now())
 
         # each fit starts from this iteration's encodings and returns those of
         # the params it keeps, so no side is encoded outside the fit
         for side, fit_seed in zip(cnn_sides, fits_ss.spawn(len(cnn_sides))):
             side.cnn, fit_loss, side.encodings = textcnn.fit_to_targets(
-                side.cnn, side.docs, side.factors.T, side.lam, hyper.weight_decay,
+                side.cnn, side.docs, side.factors, side.lam, hyper.weight_decay,
                 optimizer=optimizer, seed=fit_seed, start_outputs=side.encodings)
             side.fit_losses.append(fit_loss)
 
@@ -446,7 +444,7 @@ def train(bundle, hyper: Hyperparams, cnn_config: CnnConfig | None = None,
 
     return TrainedModel(
         hyper=hyper,
-        user_factors=user.factors, item_factors=item.factors,
+        user_factors=user.factors.T, item_factors=item.factors.T,
         user_ids=list(bundle.user_ids), item_ids=list(bundle.item_ids),
         cnn_user=user.cnn, cnn_item=item.cnn,
         item_means=item_means,

@@ -386,8 +386,7 @@ def mean_loss(params: CnnParams, docs: Documents, targets, target_weight,
     """Mean per-document loss with dropout disabled, and the encodings it
     scored: (loss, forward_many(params, docs))."""
     out = forward_many(params, docs)
-    return _objective(params, out, np.asarray(targets, dtype=np.float64),
-                      target_weight, weight_decay), out
+    return _objective(params, out, targets, target_weight, weight_decay), out
 
 
 def _rmsprop_step(params: CnnParams, caches: list[np.ndarray], grads: CnnParams,

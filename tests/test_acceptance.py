@@ -74,9 +74,9 @@ def _grad_inf_norm_users(ratings, u, v, targets, lam):
     for i in range(ratings.n_users):
         mine = ratings.users == i
         idx, vals = ratings.items[mine], ratings.ratings[mine]
-        g = lam * (u[:, i] - (targets[:, i] if targets is not None else 0.0))
+        g = lam * (u[i] - (targets[i] if targets is not None else 0.0))
         for j, r in zip(idx, vals):
-            g = g + (u[:, i] @ v[:, j] - r) * v[:, j]
+            g = g + (u[i] @ v[j] - r) * v[j]
         worst = max(worst, float(np.abs(g).max()))
     return worst
 
@@ -86,9 +86,9 @@ def _grad_inf_norm_items(ratings, u, v, targets, lam):
     for j in range(ratings.n_items):
         mine = ratings.items == j
         idx, vals = ratings.users[mine], ratings.ratings[mine]
-        g = lam * (v[:, j] - (targets[:, j] if targets is not None else 0.0))
+        g = lam * (v[j] - (targets[j] if targets is not None else 0.0))
         for i, r in zip(idx, vals):
-            g = g + (u[:, i] @ v[:, j] - r) * u[:, i]
+            g = g + (u[i] @ v[j] - r) * u[i]
         worst = max(worst, float(np.abs(g).max()))
     return worst
 
@@ -103,9 +103,9 @@ def test_criterion_2_closed_form_optimality():
         n = int(rng.integers(1, n_users * n_items + 1))
         ratings = SparseRatings(rng.integers(0, n_users, n), rng.integers(0, n_items, n),
                                 rng.uniform(1, 5, n), n_users, n_items)
-        v = rng.normal(0, 1, (k, n_items))
-        tu = rng.normal(0, 1, (k, n_users))
-        tv = rng.normal(0, 1, (k, n_items))
+        v = rng.normal(0, 1, (n_items, k))
+        tu = rng.normal(0, 1, (n_users, k))
+        tv = rng.normal(0, 1, (n_items, k))
         lam_u = float(rng.uniform(0.2, 50))
         lam_v = float(rng.uniform(0.2, 50))
         u = update_user_factors(ratings, v, tu, lam_u)
@@ -146,8 +146,8 @@ def test_criterion_4_half_step_monotonicity():
     assert len(ratings) >= 1000, f"need >=1000 training ratings, got {len(ratings)}"
     k = 8
     rng = np.random.default_rng(77)
-    tu = rng.normal(0, 0.5, (k, bundle.n_users))
-    tv = rng.normal(0, 0.5, (k, bundle.n_items))
+    tu = rng.normal(0, 0.5, (bundle.n_users, k))
+    tv = rng.normal(0, 0.5, (bundle.n_items, k))
     lam_u = lam_v = 100.0
     u, v = factorize.init_factors(bundle.n_users, bundle.n_items, k, seed=9)
 
@@ -179,19 +179,19 @@ def test_criterion_4_half_step_monotonicity():
 def test_criterion_5_brute_force_equivalence():
     ratings = SparseRatings([0, 0, 1, 1], [0, 1, 0, 1],
                             [4.0, 2.0, 5.0, 3.0], 2, 2)
-    tu = np.array([[0.5, -0.3]])
-    tv = np.array([[1.0, 0.8]])
+    tu = np.array([[0.5], [-0.3]])
+    tv = np.array([[1.0], [0.8]])
     lam_u = lam_v = 1.0
 
-    u = np.full((1, 2), 0.6)
-    v = np.full((1, 2), 0.6)
+    u = np.full((2, 1), 0.6)
+    v = np.full((2, 1), 0.6)
     for _ in range(2000):
         u = update_user_factors(ratings, v, tu, lam_u)
         v = update_item_factors(ratings, u, tv, lam_v)
     alternating = np.concatenate([u.ravel(), v.ravel()])
 
     def objective(x):
-        return total_loss(ratings, x[:2].reshape(1, 2), x[2:].reshape(1, 2),
+        return total_loss(ratings, x[:2].reshape(2, 1), x[2:].reshape(2, 1),
                           tu, tv, lam_u, lam_v)
 
     best = None

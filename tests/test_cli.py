@@ -181,6 +181,18 @@ def test_evaluate_refuses_a_resplit_that_keeps_every_training_count(tmp_path, re
     assert not (tmp_path / "out/reports/PMF_eval.csv").exists()
 
 
+def test_evaluate_refuses_checkpoint_of_another_model_kind(tmp_path, review_file, capsys):
+    import shutil
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+    shutil.copy(tmp_path / "out/models/PMF.ckpt", tmp_path / "out/models/BiConvMF.ckpt")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", "BiConvMF"]) == EXIT_DATA
+    assert "PMF model, not BiConvMF" in capsys.readouterr().err
+    assert not (tmp_path / "out/reports/BiConvMF_eval.csv").exists()
+
+
 @pytest.mark.parametrize("split, argv", [
     ("train", ["train", "--model", "PMF", "--force"]),
     ("test", ["evaluate", "--model", "PMF"]),

@@ -58,6 +58,11 @@ def test_init_factors_deterministic_bitwise():
     u1, v1 = init_factors(2, 2, 50, seed=7)
     u2, v2 = init_factors(2, 2, 50, seed=7)
     assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+    # the draws fill U^T (k x N), then V^T (k x M), and come back as C-ordered rows
+    u, v = init_factors(3, 4, 5, seed=7)
+    rng = np.random.default_rng(7)
+    assert u.flags.c_contiguous and v.flags.c_contiguous
+    assert np.array_equal(u, rng.random((5, 3)).T) and np.array_equal(v, rng.random((5, 4)).T)
 
 
 def test_init_factors_in_unit_interval():
@@ -75,10 +80,10 @@ def test_init_factors_scalar_case():
 
 def test_zero_rating_user_copies_target():
     ratings = SparseRatings([1], [0], [4.0], 2, 1)
-    v = np.array([[1.0], [0.0]])
-    targets = np.array([[0.3, 0.9], [0.1, -0.2]])
+    v = np.array([[1.0, 0.0]])
+    targets = np.array([[0.3, 0.1], [0.9, -0.2]])
     u = update_user_factors(ratings, v, targets, 1.0)
-    assert np.array_equal(u[:, 0], targets[:, 0])
+    assert np.array_equal(u[0], targets[0])
 
 
 def test_user_update_hand_solved_two_by_two():
@@ -86,17 +91,17 @@ def test_user_update_hand_solved_two_by_two():
     # (vv^T + I) u = r v  ->  [[2,0],[0,1]] u = (r,0)  ->  u = (r/2, 0)
     r = 3.0
     ratings = SparseRatings([0], [0], [r], 1, 1)
-    v = np.array([[1.0], [0.0]])
+    v = np.array([[1.0, 0.0]])
     u = update_user_factors(ratings, v, None, 1.0)
-    np.testing.assert_allclose(u[:, 0], [r / 2, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(u[0], [r / 2, 0.0], rtol=1e-15)
 
 
 def test_item_update_hand_solved_two_by_two():
     r = 5.0
     ratings = SparseRatings([0], [0], [r], 1, 1)
-    u = np.array([[1.0], [0.0]])
+    u = np.array([[1.0, 0.0]])
     v = update_item_factors(ratings, u, None, 1.0)
-    np.testing.assert_allclose(v[:, 0], [r / 2, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(v[0], [r / 2, 0.0], rtol=1e-15)
 
 
 def user_side_gradient(ratings, u, v, targets, lam):
@@ -105,10 +110,10 @@ def user_side_gradient(ratings, u, v, targets, lam):
     for i in range(ratings.n_users):
         mine = ratings.users == i
         idx, vals = ratings.items[mine], ratings.ratings[mine]
-        target = targets[:, i] if targets is not None else 0.0
-        g = lam * (u[:, i] - target)
+        target = targets[i] if targets is not None else 0.0
+        g = lam * (u[i] - target)
         for j, r in zip(idx, vals):
-            g = g + (u[:, i] @ v[:, j] - r) * v[:, j]
+            g = g + (u[i] @ v[j] - r) * v[j]
         worst = max(worst, float(np.abs(g).max()))
     return worst
 
@@ -118,10 +123,10 @@ def item_side_gradient(ratings, u, v, targets, lam):
     for j in range(ratings.n_items):
         mine = ratings.items == j
         idx, vals = ratings.users[mine], ratings.ratings[mine]
-        target = targets[:, j] if targets is not None else 0.0
-        g = lam * (v[:, j] - target)
+        target = targets[j] if targets is not None else 0.0
+        g = lam * (v[j] - target)
         for i, r in zip(idx, vals):
-            g = g + (u[:, i] @ v[:, j] - r) * u[:, i]
+            g = g + (u[i] @ v[j] - r) * u[i]
         worst = max(worst, float(np.abs(g).max()))
     return worst
 
@@ -131,12 +136,12 @@ def test_updates_reach_stationarity(seed):
     rng = np.random.default_rng(seed)
     ratings = small_ratings(seed)
     k = 4
-    v = rng.normal(0, 1, (k, ratings.n_items))
-    targets_u = rng.normal(0, 1, (k, ratings.n_users))
+    v = rng.normal(0, 1, (ratings.n_items, k))
+    targets_u = rng.normal(0, 1, (ratings.n_users, k))
     lam = float(rng.uniform(0.5, 5))
     u = update_user_factors(ratings, v, targets_u, lam)
     assert user_side_gradient(ratings, u, v, targets_u, lam) <= 1e-8
-    targets_v = rng.normal(0, 1, (k, ratings.n_items))
+    targets_v = rng.normal(0, 1, (ratings.n_items, k))
     v2 = update_item_factors(ratings, u, targets_v, lam)
     assert item_side_gradient(ratings, u, v2, targets_v, lam) <= 1e-8
 
@@ -144,26 +149,26 @@ def test_updates_reach_stationarity(seed):
 def test_huge_lambda_pins_factors_to_targets():
     rng = np.random.default_rng(5)
     ratings = SparseRatings([0, 0, 1], [0, 1, 0], [4.0, 2.0, 5.0], 3, 2)
-    v = rng.normal(0, 1, (3, 2))
+    v = rng.normal(0, 1, (2, 3))
     targets = rng.normal(0, 1, (3, 3))
     u = update_user_factors(ratings, v, targets, 1e8)
     # user 2 has no ratings: exact copy; users with ratings: pinned within 1e-3
-    assert np.array_equal(u[:, 2], targets[:, 2])
+    assert np.array_equal(u[2], targets[2])
     assert np.abs(u - targets).max() <= 1e-3
 
 
 def per_row_reference(rows, cols, vals, fixed, targets, lam):
     """Each row's normal equations (C C^T + lam I) x = C r + lam t, solved one by
     one; row r's entries are read from the triplets where rows == r."""
-    k = fixed.shape[0]
+    k = fixed.shape[1]
     out = targets.copy()
-    for row in range(targets.shape[1]):
+    for row in range(targets.shape[0]):
         mine = rows == row
         idx = cols[mine]
         if len(idx):
-            c = fixed[:, idx]
-            out[:, row] = np.linalg.solve(c @ c.T + lam * np.eye(k),
-                                          c @ vals[mine] + lam * targets[:, row])
+            c = fixed[idx].T
+            out[row] = np.linalg.solve(c @ c.T + lam * np.eye(k),
+                                       c @ vals[mine] + lam * targets[row])
     return out
 
 
@@ -178,10 +183,10 @@ def test_half_steps_match_per_row_solves_on_both_sides():
     for counts in (ratings.by_user.counts(), ratings.by_item.counts()):
         assert counts.min() == 0
         assert ((counts > 0) & (counts < k)).any() and (counts >= k).any()
-    u = rng.normal(0, 1, (k, n_users))
-    v = rng.normal(0, 1, (k, n_items))
-    tu = rng.normal(0, 1, (k, n_users))
-    tv = rng.normal(0, 1, (k, n_items))
+    u = rng.normal(0, 1, (n_users, k))
+    v = rng.normal(0, 1, (n_items, k))
+    tu = rng.normal(0, 1, (n_users, k))
+    tv = rng.normal(0, 1, (n_items, k))
     by_user = (ratings.users, ratings.items, ratings.ratings)
     by_item = (ratings.items, ratings.users, ratings.ratings)
     for lam in (0.3, 7.0, 250.0):
@@ -189,17 +194,17 @@ def test_half_steps_match_per_row_solves_on_both_sides():
         assert np.abs(got_u - per_row_reference(*by_user, v, tu, lam)).max() <= 1e-10
         got_v = update_item_factors(ratings, u, tv, lam)
         assert np.abs(got_v - per_row_reference(*by_item, u, tv, lam)).max() <= 1e-10
-        zeros = np.zeros((k, n_items))
+        zeros = np.zeros((n_items, k))
         got_v0 = update_item_factors(ratings, u, None, lam)
         assert np.abs(got_v0 - per_row_reference(*by_item, u, zeros, lam)).max() <= 1e-10
-        assert np.array_equal(got_v0[:, n_items - 1], zeros[:, n_items - 1])
+        assert np.array_equal(got_v0[n_items - 1], zeros[n_items - 1])
 
 
 def test_half_step_leaves_targets_untouched():
     ratings = small_ratings(4)
     rng = np.random.default_rng(4)
-    v = rng.normal(0, 1, (3, ratings.n_items))
-    targets = rng.normal(0, 1, (3, ratings.n_users))
+    v = rng.normal(0, 1, (ratings.n_items, 3))
+    targets = rng.normal(0, 1, (ratings.n_users, 3))
     before = targets.copy()
     update_user_factors(ratings, v, targets, 2.0)
     assert np.array_equal(targets, before)
@@ -222,7 +227,7 @@ def test_half_step_is_bitwise_the_same_for_every_chunk_size(monkeypatch, k):
     # it; k = 50 is the training width
     rng = np.random.default_rng(5)
     ratings = mixed_degree_ratings(rng, k)
-    u, v = rng.normal(0, 1, (k, ratings.n_users)), rng.normal(0, 1, (k, ratings.n_items))
+    u, v = rng.normal(0, 1, (ratings.n_users, k)), rng.normal(0, 1, (ratings.n_items, k))
     tu, tv = rng.normal(0, 1, u.shape), rng.normal(0, 1, v.shape)
     results = []
     for chunk in (10**9, 1, 2 * (k + 3) * k, 3 * 2 * k):
@@ -244,20 +249,20 @@ def test_half_step_holds_one_chunk_of_gathered_columns(monkeypatch):
     users = np.repeat(np.arange(n_users), 3)
     ratings = SparseRatings(users, rng.integers(0, n_items, len(users)),
                             rng.uniform(1, 5, len(users)), n_users, n_items)
-    v = rng.normal(0, 1, (k, n_items))
+    v = rng.normal(0, 1, (n_items, k))
     out, peak, _ = traced(factorize.half_step, ratings.by_user, v, None, 1.0)
     assert peak <= out.nbytes + 8 * 8 * n_users + 16 * 8 * factorize.SOLVE_CHUNK
 
 
 def test_item_half_step_copies_no_user_factors():
-    # 40,000 users of one rating each at k = 16: the user factors' transpose,
-    # copied, would take 5.1 MB; each block's columns are gathered from the
-    # (k, n_users) matrix itself, so no transient comes near that size
+    # 40,000 users of one rating each at k = 16: the user factors, copied,
+    # would take 5.1 MB; each block's rows are gathered from the
+    # (n_users, k) matrix itself, so no transient comes near that size
     rng = np.random.default_rng(10)
     k, n_users, n_items = 16, 40000, 30
     ratings = SparseRatings(np.arange(n_users), rng.integers(0, n_items, n_users),
                             rng.uniform(1, 5, n_users), n_users, n_items)
-    u = rng.normal(0, 1, (k, n_users))
+    u = rng.normal(0, 1, (n_users, k))
     out, peak, _ = traced(factorize.half_step, ratings.by_item, u, None, 1.0)
     assert peak - out.nbytes < 8 * k * n_users / 2
 
@@ -267,8 +272,8 @@ def test_item_half_step_copies_no_user_factors():
 def test_loss_zero_factors_is_half_sum_of_squares():
     ratings = small_ratings(1)
     k = 3
-    zeros_u = np.zeros((k, ratings.n_users))
-    zeros_v = np.zeros((k, ratings.n_items))
+    zeros_u = np.zeros((ratings.n_users, k))
+    zeros_v = np.zeros((ratings.n_items, k))
     loss = total_loss(ratings, zeros_u, zeros_v, None, None, 1.0, 1.0)
     assert loss == pytest.approx(0.5 * float((ratings.ratings ** 2).sum()))
 
@@ -288,15 +293,15 @@ def test_loss_matches_naive_summation():
     items = np.array([0, 1, 0, 1])
     vals = rng.uniform(1, 5, 4)
     ratings = SparseRatings(users, items, vals, n_users, n_items)
-    u = rng.normal(0, 1, (k, n_users))
-    v = rng.normal(0, 1, (k, n_items))
-    tu = rng.normal(0, 1, (k, n_users))
-    tv = rng.normal(0, 1, (k, n_items))
+    u = rng.normal(0, 1, (n_users, k))
+    v = rng.normal(0, 1, (n_items, k))
+    tu = rng.normal(0, 1, (n_users, k))
+    tv = rng.normal(0, 1, (n_items, k))
     lu, lv, wd = 1.3, 0.7, 0.01
     nu, nv = 3.0, 4.0
     naive = 0.0
     for uu, ii, rr in zip(users, items, vals):
-        naive += 0.5 * (rr - float(u[:, uu] @ v[:, ii])) ** 2
+        naive += 0.5 * (rr - float(u[uu] @ v[ii])) ** 2
     naive += 0.5 * lu * float(((u - tu) ** 2).sum())
     naive += 0.5 * lv * float(((v - tv) ** 2).sum())
     naive += 0.5 * wd * nu + 0.5 * wd * nv
@@ -308,7 +313,7 @@ def test_loss_matches_naive_summation():
 def test_loss_is_bitwise_the_same_for_every_chunk_size(monkeypatch, k):
     rng = np.random.default_rng(6)
     ratings = small_ratings(6, n=23)
-    u, v = rng.normal(0, 1, (k, ratings.n_users)), rng.normal(0, 1, (k, ratings.n_items))
+    u, v = rng.normal(0, 1, (ratings.n_users, k)), rng.normal(0, 1, (ratings.n_items, k))
     losses = []
     # 5: four full chunks and a three-pair tail; 11: two and a one-pair tail
     for chunk in (10**9, 1, 5, 11):
@@ -323,7 +328,7 @@ def test_loss_holds_one_chunk_of_gathered_columns(monkeypatch):
     monkeypatch.setattr(factorize, "PAIR_CHUNK", 256)
     rng = np.random.default_rng(7)
     ratings = small_ratings(7, n_users=50, n_items=40, n=40000)
-    u, v = rng.normal(0, 1, (16, 50)), rng.normal(0, 1, (16, 40))
+    u, v = rng.normal(0, 1, (50, 16)), rng.normal(0, 1, (40, 16))
     _, peak, _ = traced(total_loss, ratings, u, v, None, None, 1.0, 1.0)
     assert peak <= 4 * 8 * len(ratings) + 2 * (u.nbytes + v.nbytes) + 4 * 8 * 16 * factorize.PAIR_CHUNK
 
@@ -511,10 +516,10 @@ def test_train_encodes_each_side_once(tiny_bundle, monkeypatch):
     # the reused encodings are those of the final CNNs
     ratings = SparseRatings(tiny_bundle.train_user_idx, tiny_bundle.train_item_idx,
                             tiny_bundle.train_ratings, tiny_bundle.n_users, tiny_bundle.n_items)
-    t_user = forward_many(model.cnn_user, tiny_bundle.user_docs).T
-    t_item = forward_many(model.cnn_item, tiny_bundle.item_docs).T
+    t_user = forward_many(model.cnn_user, tiny_bundle.user_docs)
+    t_item = forward_many(model.cnn_item, tiny_bundle.item_docs)
     assert model.log.losses[-1] == factorize.total_loss(
-        ratings, model.user_factors, model.item_factors, t_user, t_item,
+        ratings, model.user_factors.T, model.item_factors.T, t_user, t_item,
         hyper.lambda_user, hyper.lambda_item, hyper.weight_decay,
         model.cnn_user.weight_sqnorm(), model.cnn_item.weight_sqnorm())
 
