@@ -1,7 +1,9 @@
 """Command-line pipeline: ingest -> train -> evaluate / compare.
 
 Experiments are driven by an INI config file; flags override file values.
-Outputs land under <out>/{corpus,models,reports} and nothing is silently
+Every INI key, a [model.<kind>] lambda included, is one entry of
+load_config's (section, key) table, and values are read verbatim.  Outputs
+land under <out>/{corpus,models,reports} and nothing is silently
 overwritten without --force.  Exit codes: 0 success, 2 config error,
 3 data error, 4 training failure.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 import time
@@ -105,36 +108,35 @@ class RunConfig:
     outer_iters: int = _setting("factorization", factorize.Hyperparams.outer_iters)
     early_stop_rel_tol: float = _setting("factorization", factorize.Hyperparams.early_stop_rel_tol)
     early_stop_patience: int = _setting("factorization", factorize.Hyperparams.early_stop_patience)
-    lambdas: dict = field(default_factory=dict)  # model kind -> {LAMBDA_KEYS entry: value}
+    lambdas: dict = field(default_factory=lambda: {k: {} for k in factorize.MODEL_KINDS})  # kind -> {key: value}
     weight_decay: float = _setting("factorization", factorize.Hyperparams.weight_decay)
     out_dir: Path = _setting("output", Path("runs"), key="dir")
 
+    def _shared(self, cls, **explicit):
+        """cls built from the RunConfig fields it shares by name, and explicit."""
+        shared = {f.name for f in fields(cls)} & {f.name for f in fields(RunConfig)}
+        return cls(**{name: getattr(self, name) for name in shared}, **explicit)
+
     def hyper_for(self, kind: str) -> factorize.Hyperparams:
         """Hyperparameters of one canonical model kind."""
-        return factorize.Hyperparams.for_model(
-            kind, n_factors=self.n_factors, **self.lambdas.get(kind, {}),
-            weight_decay=self.weight_decay,
-            outer_iters=self.outer_iters,
-            early_stop_rel_tol=self.early_stop_rel_tol,
-            early_stop_patience=self.early_stop_patience,
-            seed=self.base_seed,
-        )
+        return self._shared(factorize.Hyperparams, model_kind=kind, seed=self.base_seed,
+                            **self.lambdas[kind])
 
     def cnn_config(self) -> textcnn.CnnConfig:
-        return textcnn.CnnConfig(
-            max_len=self.max_len, embedding_dim=self.embedding_dim,
-            output_dim=self.n_factors, window_sizes=self.window_sizes,
-            n_filters=self.n_filters, dropout_rate=self.dropout_rate,
-        )
+        return self._shared(textcnn.CnnConfig, output_dim=self.n_factors)
 
     def optimizer(self) -> textcnn.OptimizerConfig:
-        return textcnn.OptimizerConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs_per_outer, batch_size=self.batch_size,
-        )
+        return self._shared(textcnn.OptimizerConfig, epochs=self.epochs_per_outer)
 
 
 LAMBDA_KEYS = ("lambda_user", "lambda_item")   # the keys of a [model.<kind>] section
+
+
+def _as_lambda(raw: str) -> float:
+    value = _as_finite(raw)
+    if value <= 0:
+        raise ValueError(f"must be > 0, got {value}")
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -142,7 +144,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)   # values are read verbatim
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -154,33 +156,25 @@ def load_config(path) -> RunConfig:
     if parser.defaults():
         raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
 
-    settings = {(f.metadata["section"], f.metadata["key"] or f.name): (f.name, f.metadata["parse"])
-                for f in fields(RunConfig) if f.metadata}
     cfg = RunConfig()
+    settings = {(f.metadata["section"], f.metadata["key"] or f.name):
+                (f.metadata["parse"], functools.partial(setattr, cfg, f.name))
+                for f in fields(RunConfig) if f.metadata}
+    settings.update({(f"model.{kind}", key): (_as_lambda, functools.partial(cfg.lambdas[kind].__setitem__, key))
+                     for kind in factorize.MODEL_KINDS for key in LAMBDA_KEYS})
     for section, items in sections:
-        kind = section.removeprefix("model.")
-        is_model = kind != section and kind in factorize.MODEL_KINDS
-        if not is_model and section not in {s for s, _ in settings}:
+        if section not in {s for s, _ in settings}:
             raise ConfigError(f"unknown section [{section}] in {path}")
         for key, raw in items:
-            if is_model and key in LAMBDA_KEYS:
-                target, parse = None, _as_finite
-            elif (section, key) in settings:
-                target, parse = settings[section, key]
-            else:
+            if (section, key) not in settings:
                 raise ConfigError(f"unknown key '{key}' in [{section}] of {path}")
             if raw == "":   # configparser strips values; empty keeps the default
                 continue
+            parse, store = settings[section, key]
             try:
-                value = parse(raw)
+                store(parse(raw))
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from None
-            if not is_model:
-                setattr(cfg, target, value)
-            elif value <= 0:
-                raise ConfigError(f"[{section}] {key} must be > 0, got {value}")
-            else:
-                cfg.lambdas.setdefault(kind, {})[key] = value
 
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {cfg.test_fraction}")
@@ -379,23 +373,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, run):
+        """A subcommand whose handler, run(cfg, args), main calls (cmd_* are looked up per call)."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="output directory (overrides [output] dir)")
         p.add_argument("--seed", type=int, help="base seed (overrides [experiment] base_seed)")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
+        return p
 
-    p = sub.add_parser("ingest", help="parse reviews, split, and write the corpus bundle")
-    common(p)
-    p = sub.add_parser("train", help="train one model and write a checkpoint")
-    common(p)
+    command("ingest", "parse reviews, split, and write the corpus bundle",
+            lambda cfg, a: cmd_ingest(cfg, a.force))
+    p = command("train", "train one model and write a checkpoint",
+                lambda cfg, a: cmd_train(cfg, a.model, a.force))
     p.add_argument("--model", required=True, help="PMF | ConvMF | BiConvMF | BiConvMF+")
-    p = sub.add_parser("evaluate", help="score a trained checkpoint on the test split")
-    common(p)
+    p = command("evaluate", "score a trained checkpoint on the test split",
+                lambda cfg, a: cmd_evaluate(cfg, a.model, a.clip, a.force))
     p.add_argument("--model", required=True)
     p.add_argument("--clip", action="store_true", help="clip predictions to [1, 5]")
-    p = sub.add_parser("compare", help="run the multi-model, multi-run comparison")
-    common(p)
+    p = command("compare", "run the multi-model, multi-run comparison",
+                lambda cfg, a: cmd_compare(cfg, a.clip, a.force))
     p.add_argument("--clip", action="store_true", help="clip predictions to [1, 5]")
     return parser
 
@@ -408,15 +406,7 @@ def main(argv=None) -> int:
             cfg.out_dir = Path(args.out)
         if args.seed is not None:
             cfg.base_seed = args.seed
-        if args.command == "ingest":
-            return cmd_ingest(cfg, args.force)
-        if args.command == "train":
-            return cmd_train(cfg, args.model, args.force)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.model, args.clip, args.force)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.clip, args.force)
-        raise ConfigError(f"unknown command {args.command}")
+        return args.run(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -72,8 +72,8 @@ def canonical_model_kind(name: str) -> str:
 class Hyperparams:
     model_kind: str = "BiConvMF"
     n_factors: int = 50
-    lambda_user: float = 100.0
-    lambda_item: float = 100.0
+    lambda_user: float = None      # None: DEFAULT_LAMBDAS[model_kind]
+    lambda_item: float = None
     weight_decay: float = 1e-4     # of both CNNs' weights
     outer_iters: int = 30
     early_stop_rel_tol: float = 1e-4
@@ -82,6 +82,9 @@ class Hyperparams:
 
     def __post_init__(self):
         self.model_kind = canonical_model_kind(self.model_kind)
+        lu, lv = DEFAULT_LAMBDAS[self.model_kind]
+        self.lambda_user = lu if self.lambda_user is None else self.lambda_user
+        self.lambda_item = lv if self.lambda_item is None else self.lambda_item
         if self.n_factors < 1:
             raise ValueError(f"n_factors must be >= 1, got {self.n_factors}")
         if not (0 < self.lambda_user < np.inf and 0 < self.lambda_item < np.inf):
@@ -97,11 +100,7 @@ class Hyperparams:
 
     @classmethod
     def for_model(cls, model_kind: str, **overrides) -> "Hyperparams":
-        kind = canonical_model_kind(model_kind)
-        lu, lv = DEFAULT_LAMBDAS[kind]
-        base = dict(model_kind=kind, lambda_user=lu, lambda_item=lv)
-        base.update(overrides)
-        return cls(**base)
+        return cls(model_kind=model_kind, **overrides)
 
 
 class CsrSide(NamedTuple):
@@ -258,11 +257,11 @@ def pair_dots(user_factors: np.ndarray, item_factors: np.ndarray,
 @dataclass
 class TrainLog:
     loss_initial: float = 0.0
-    losses_after_user: list = field(default_factory=list)
-    losses_after_item: list = field(default_factory=list)
-    losses: list = field(default_factory=list)          # end-of-iteration joint loss
-    fit_losses_user: list = field(default_factory=list)
-    fit_losses_item: list = field(default_factory=list)
+    losses_after_user: list[float] = field(default_factory=list)
+    losses_after_item: list[float] = field(default_factory=list)
+    losses: list[float] = field(default_factory=list)  # end-of-iteration joint loss
+    fit_losses_user: list[float] = field(default_factory=list)
+    fit_losses_item: list[float] = field(default_factory=list)
 
     def n_iterations(self) -> int:
         return len(self.losses)

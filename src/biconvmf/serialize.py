@@ -300,16 +300,24 @@ def _from_sections(cls, payloads: dict):
     return _rebuild(cls, meta, "", given)
 
 
+# The JSON value types each scalar annotation accepts: a bool is not an int,
+# and an int is a float.
+_JSON_TYPES = {str: {str}, int: {int}, float: {float, int}, bool: {bool}}
+
+
 def _rebuild(hint, value, where: str, given=None):
-    """value as its annotated type; a list or tuple from a JSON list (of its
-    item type, when the annotation names one); a dataclass from a dict of
-    exactly its fields not given."""
-    if hint in (str, int, float, bool):
+    """value as its annotated type: a scalar of an accepted JSON type (see
+    _JSON_TYPES); a list or tuple from a JSON list (of its item type, when the
+    annotation names one); a dataclass from a dict of exactly its fields not
+    given."""
+    if hint in _JSON_TYPES:
+        if type(value) not in _JSON_TYPES[hint]:
+            raise ContainerError(f"invalid value for '{where}': not a JSON {hint.__name__}")
         return value
     origin = get_origin(hint) or hint
     if origin in (list, tuple):
         item = get_args(hint)[:1]
-        if not isinstance(value, list) or (item and not all(isinstance(v, item[0]) for v in value)):
+        if not isinstance(value, list) or (item and not set(map(type, value)) <= _JSON_TYPES[item[0]]):
             raise ContainerError(f"invalid value for '{where}': not a JSON list"
                                  + (f" of {item[0].__name__}" if item else ""))
         return origin(value)

@@ -540,6 +540,50 @@ def test_unknown_config_entry_is_config_error(tmp_path, review_file, capsys, ext
     assert name in err and "unknown" in err
 
 
+def test_every_config_key_reaches_the_object_that_consumes_it(tmp_path, review_file):
+    from dataclasses import fields
+
+    from biconvmf import cli, factorize, textcnn
+    cnn = {"embedding_dim": 9, "window_sizes": (2, 4), "n_filters": 7, "dropout_rate": 0.3,
+           "learning_rate": 0.02, "epochs_per_outer": 6, "batch_size": 17,
+           "pretrained_path": Path("vectors.txt"), "pretrained_trainable": True}
+    fact = {"n_factors": 6, "outer_iters": 8, "early_stop_rel_tol": 0.003,
+            "early_stop_patience": 5, "weight_decay": 0.002}
+    lambdas = {kind: {"lambda_user": 2.5 + i, "lambda_item": 7.5 + i}
+               for i, kind in enumerate(factorize.MODEL_KINDS)}
+    declared = {f.name: f.metadata["section"] for f in fields(cli.RunConfig) if f.metadata}
+    assert {name for name, section in declared.items() if section in ("cnn", "factorization")} \
+        == set(cnn) | set(fact)
+    path = write_config(tmp_path, review_file, tmp_path / "out",
+                        cnn={k: ",".join(map(str, v)) if k == "window_sizes" else v for k, v in cnn.items()},
+                        factorization=fact, **{f"model.{kind}": lam for kind, lam in lambdas.items()})
+    cfg, defaults = load_config(path), cli.RunConfig()
+    for name, value in {**cnn, **fact}.items():   # each set to a value other than its default
+        assert getattr(cfg, name) == value and value != getattr(defaults, name), name
+
+    assert cfg.cnn_config() == textcnn.CnnConfig(max_len=24, embedding_dim=9, output_dim=6,
+                                                 window_sizes=(2, 4), n_filters=7, dropout_rate=0.3)
+    assert cfg.optimizer() == textcnn.OptimizerConfig(learning_rate=0.02, epochs=6, batch_size=17)
+    for kind in factorize.MODEL_KINDS:
+        assert lambdas[kind] != dict(zip(cli.LAMBDA_KEYS, factorize.DEFAULT_LAMBDAS[kind]))
+        assert cfg.hyper_for(kind) == factorize.Hyperparams(
+            model_kind=kind, n_factors=6, **lambdas[kind], weight_decay=0.002, outer_iters=8,
+            early_stop_rel_tol=0.003, early_stop_patience=5, seed=11)
+
+
+def test_percent_in_config_value_is_read_verbatim(tmp_path, review_file):
+    data = tmp_path / "50%_sample.json"
+    data.write_bytes(review_file.read_bytes())
+    out = tmp_path / "runs/100%"
+    # written by hand: a default ConfigParser refuses to store a lone '%'
+    path = tmp_path / "config.ini"
+    path.write_text(f"[data]\npath = {data}\nfirst_n = 500\n\n[output]\ndir = {out}\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg.data_path, cfg.out_dir) == (data, out)
+    assert main(["ingest", "--config", str(path)]) == EXIT_OK
+    assert (out / "corpus/bundle.bcmf").exists()
+
+
 def test_shipped_configs_load():
     root = Path(__file__).resolve().parents[1] / "configs"
     desk = load_config(root / "synthetic.ini")
@@ -547,6 +591,41 @@ def test_shipped_configs_load():
     movies = load_config(root / "movies_tv.ini")
     assert movies.pretrained_path is None and movies.max_len == 128
     assert movies.models == ["PMF", "ConvMF", "BiConvMF"]
+
+
+@pytest.mark.parametrize("artifact, key, value", [
+    ("model", "hyper.seed", "abc"), ("model", "hyper.n_factors", 4.0),
+    ("model", "hyper.outer_iters", True), ("model", "log.loss_initial", "x"),
+    ("model", "log.losses", ["a", "b"]),
+    ("bundle", "split_seed", "x"), ("bundle", "test_fraction", "x"),
+    ("bundle", "stats.n_users", "x"), ("bundle", "stats.density", [1]),
+], ids=["hyper.seed", "hyper.n_factors", "hyper.outer_iters", "log.loss_initial", "log.losses",
+        "split_seed", "test_fraction", "stats.n_users", "stats.density"])
+def test_meta_value_of_another_json_type_is_data_error(tmp_path, review_file, capsys, artifact, key, value):
+    # a bool is not an int, and a float that happens to be whole is not one either
+    from biconvmf import corpus, factorize, serialize
+    cfg = write_config(tmp_path, review_file, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    if artifact == "model":
+        assert main(["train", "--config", str(cfg), "--model", "PMF"]) == EXIT_OK
+        path, magic, version = tmp_path / "out/models/PMF.ckpt", factorize.MODEL_MAGIC, factorize.MODEL_VERSION
+        command = "evaluate"
+    else:
+        path, magic, version = tmp_path / "out/corpus/bundle.bcmf", corpus.BUNDLE_MAGIC, corpus.BUNDLE_VERSION
+        command = "train"
+    _, sections = serialize.read_container(path, magic, (version,))
+    meta = serialize.json_from_bytes(sections["meta"], "meta")
+    *outer, last = key.split(".")
+    node = meta
+    for name in outer:
+        node = node[name]
+    node[last] = value
+    sections["meta"] = serialize.json_to_bytes(meta)
+    serialize.write_container(path, magic, version, sections)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--model", "PMF"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"invalid value for '{key}': not a JSON" in err and "Traceback" not in err
 
 
 def test_evaluate_refuses_checkpoint_missing_meta_key(tmp_path, review_file, capsys):
@@ -779,7 +858,7 @@ def test_malformed_bundle_container_is_data_error(tmp_path, review_file, capsys,
 @pytest.mark.parametrize("extra, message", [
     ({"experiment": {"test_fraction": "1.5"}}, "test_fraction must be in (0, 1), got 1.5"),
     ({"data": {"first_n": "-1"}}, "first_n must be >= 0, got -1"),
-    ({"model.PMF": {"lambda_user": "0"}}, "[model.PMF] lambda_user must be > 0, got 0.0"),
+    ({"model.PMF": {"lambda_user": "0"}}, "bad value for [model.PMF] lambda_user: '0' (must be > 0, got 0.0)"),
     ({"DEFAULT": {"first_n": "5"}}, "unknown section [DEFAULT]"),
 ], ids=["test-fraction", "first-n", "zero-lambda", "default-section"])
 def test_out_of_range_config_value_is_config_error(tmp_path, review_file, capsys, extra, message):

@@ -409,6 +409,11 @@ def test_model_kind_governs_which_cnns_exist(tiny_bundle):
     bi = factorize.train(tiny_bundle, Hyperparams.for_model("BiConvMF", n_factors=4, outer_iters=1),
                          cnn_config=cfg, optimizer=opt)
     assert bi.cnn_user is not None and bi.cnn_item is not None
+    # the kind also decides the default lambdas, through either constructor
+    for kind in factorize.MODEL_KINDS:
+        hyper = Hyperparams(model_kind=kind)
+        assert hyper == Hyperparams.for_model(kind)
+        assert (hyper.lambda_user, hyper.lambda_item) == factorize.DEFAULT_LAMBDAS[kind]
 
 
 def test_biconvmf_plus_requires_pretrained(tiny_bundle):

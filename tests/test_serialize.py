@@ -198,7 +198,7 @@ class Inner:
 
 @dataclass
 class Log:
-    losses: list
+    losses: list[float]
 
 
 @serialize.container(MAGIC, 3)
@@ -260,7 +260,10 @@ def edit_inner(fn):
     (edit_meta(lambda m: m["log"].pop("losses")), "missing meta key 'log.losses'"),
     (edit_meta(lambda m: m["log"].update(seconds=2.0)), "unexpected meta key 'log.seconds'"),
     (edit_meta(lambda m: m.update(log=[1.0])), "'log' is not a JSON object"),
-    (edit_meta(lambda m: m.update(name=None, log={"losses": 3})), "'log.losses'"),
+    (edit_meta(lambda m: m.update(name=None)), "'name'"),
+    (edit_meta(lambda m: m.update(log={"losses": 3})), "'log.losses'"),
+    (edit_inner(lambda s: s.update(meta=b'{"shape": {"rows": true, "tags": []}}')),
+     "section 'inner': invalid value for 'shape.rows': not a JSON int"),
     (lambda s: s.pop("values"), "missing required section 'values'"),
     (lambda s: s.update(junk=b""), "unexpected section 'junk'"),
     (lambda s: s.pop("meta"), "missing required section 'meta'"),
@@ -277,6 +280,15 @@ def test_declared_format_refuses_mismatched_file(tmp_path, edit, message):
     serialize.write_container(path, MAGIC, 3, sections)
     with pytest.raises(serialize.ContainerError, match=message):
         serialize.load(Outer, path)
+
+
+def test_declared_format_reads_a_json_int_as_a_float(tmp_path):
+    path = tmp_path / "outer.bin"
+    serialize.save(make_outer(), path)
+    _, sections = serialize.read_container(path, MAGIC, (3,))
+    edit_meta(lambda m: m["log"].update(losses=[1, 2.5]))(sections)
+    serialize.write_container(path, MAGIC, 3, sections)
+    assert serialize.load(Outer, path).log == Log([1, 2.5])
 
 
 def test_nested_error_names_the_outer_section_and_keeps_its_type(tmp_path):
